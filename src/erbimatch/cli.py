@@ -30,6 +30,7 @@ from .errors import ErbimatchError
 from .evaluation import (
     GroundTruth,
     benchmark,
+    emit_report,
     evaluate,
     friedman_test,
     mean_ranks,
@@ -175,16 +176,6 @@ def _matcher_config_echo(args) -> dict:
     return echo
 
 
-def _emit(payload: dict, path: str | None, fmt: str = "json") -> None:
-    if path is None:
-        json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
-        return
-    from .evaluation import emit_report
-
-    emit_report(payload, path, fmt)
-
-
 # ----------------------------------------------------------------------
 # subcommand implementations
 
@@ -246,11 +237,13 @@ def _cmd_sweep(args) -> int:
     payload = sweep_report(sweep, algorithm=args.algorithm,
                            config=_matcher_config_echo(args),
                            dataset=os.path.basename(args.graph))
-    _emit(payload, args.report, args.format)
+    emit_report(payload, args.report, args.format)
     return 0
 
 
 def _cmd_bench(args) -> int:
+    if args.repetitions < 1:
+        raise _UsageExit("--repetitions must be at least 1")
     graph = read_edge_list(args.graph)
     result = benchmark(graph, args.algorithm, args.threshold,
                        repetitions=args.repetitions,
@@ -264,7 +257,7 @@ def _cmd_bench(args) -> int:
         "timing": {"mean_s": result.mean, "stddev_s": result.stddev,
                    "runs_s": list(result.times)},
     }
-    _emit(payload, args.report)
+    emit_report(payload, args.report)
     return 0
 
 
@@ -317,7 +310,7 @@ def _cmd_stats(args) -> int:
             "critical_distance": cd,
         },
     }
-    _emit(payload, args.report)
+    emit_report(payload, args.report)
     return 0
 
 
@@ -409,7 +402,7 @@ def _cmd_reproduce(args) -> int:
         }],
         "timing": {"build_graph_s": build_time, "match_s": match_time},
     }
-    _emit(payload, args.report)
+    emit_report(payload, args.report)
     return 0
 
 
@@ -434,7 +427,7 @@ def _reproduce_demo(args) -> int:
                "config": {"graph": "built-in demonstration graph",
                           "threshold": 0.5},
                "rows": rows}
-    _emit(payload, args.report)
+    emit_report(payload, args.report)
     return 0
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -308,21 +310,21 @@ def sweep_rows(payloads: Iterable[Mapping]) -> list[dict]:
 
 
 def emit_report(payload: dict, path, fmt: str = "json") -> None:
-    """Serialize a report deterministically (canonical JSON or CSV rows)."""
-    if fmt == "json":
-        with open_text(path, "w") as fh:
+    """Serialize a report deterministically (canonical JSON or CSV rows) to
+    ``path``, or to standard output when ``path`` is None."""
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    if fmt == "csv" and payload.get("kind") != "sweep":
+        raise ValueError("csv output is defined for sweep reports only")
+    with (nullcontext(sys.stdout) if path is None else open_text(path, "w")) as fh:
+        if fmt == "json":
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    elif fmt == "csv":
-        rows = sweep_rows([payload]) if payload.get("kind") == "sweep" else None
-        if rows is None:
-            raise ValueError("csv output is defined for sweep reports only")
-        with open_text(path, "w") as fh:
+        else:
+            rows = sweep_rows([payload])
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
 
 
 def parse_report(path) -> dict:

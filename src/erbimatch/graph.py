@@ -4,8 +4,11 @@ A :class:`SimilarityGraph` is a weighted bipartite graph over two node
 partitions (``left`` and ``right``).  Nodes are dense 0-based indices within
 their partition; external string identifiers live in side tables.  Edges are
 stored once, in a canonical deterministic order: descending weight, ties
-broken by ascending ``(left, right)``.  Instances are immutable after
-construction and safe to share across threads.
+broken by ascending ``(left, right)``.  Every construction, from triples,
+from arrays or by normalization, goes through one array path that validates
+the edges and sorts them once; pruning returns views onto a prefix of the
+sorted arrays without checking or sorting again.  Instances are immutable
+after construction and safe to share across threads.
 
 A :class:`Matching` is a set of cross-partition pairs in which no node
 appears twice (the unique mapping constraint of clean-clean resolution).
@@ -59,15 +62,54 @@ class NodeRef:
         return self.sort_key() < other.sort_key()
 
 
-def _as_index_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    return arr
+def _canonical_edges(left_count, right_count, lefts, rights, weights):
+    """Validate parallel edge arrays; return them read-only, in canonical order."""
+    if left_count < 0 or right_count < 0:
+        raise ValueError("partition sizes must be non-negative")
+    lefts = np.asarray(lefts, dtype=np.int64)
+    rights = np.asarray(rights, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if not lefts.ndim == rights.ndim == weights.ndim == 1:
+        raise ValueError("edge arrays must be one-dimensional")
+    if not (len(lefts) == len(rights) == len(weights)):
+        raise ValueError("edge arrays must have equal length")
+    if len(lefts):
+        if lefts.min() < 0 or lefts.max() >= left_count:
+            raise ValueError("left endpoint out of bounds")
+        if rights.min() < 0 or rights.max() >= right_count:
+            raise ValueError("right endpoint out of bounds")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("edge weights must be finite")
+        # Sorting by the packed (left, right) key puts duplicates side by
+        # side; a stable sort on -weight then keeps that order within ties.
+        packed = lefts * max(right_count, 1) + rights
+        order = np.argsort(packed, kind="stable")
+        keys = packed[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate (left, right) edge")
+        order = order[np.argsort(-weights[order], kind="stable")]
+        lefts, rights, weights = lefts[order], rights[order], weights[order]
+    for arr in (lefts, rights, weights):
+        arr.setflags(write=False)
+    return lefts, rights, weights
+
+
+def _min_max(weights: np.ndarray) -> np.ndarray:
+    """``(w - min) / (max - min)``, or all ones when every weight is equal."""
+    w_min = float(weights.min())
+    w_max = float(weights.max())
+    if w_max == w_min:
+        return np.ones_like(weights)
+    return (weights - w_min) / (w_max - w_min)
 
 
 class SimilarityGraph:
     """Immutable weighted bipartite graph.
+
+    Both constructors validate the edges (endpoints in bounds, finite
+    weights, no duplicate ``(left, right)`` pair) and sort them into the
+    canonical order once, through the same array path.  :meth:`prune`
+    returns views onto these arrays.
 
     Parameters
     ----------
@@ -105,22 +147,13 @@ class SimilarityGraph:
         left_ids: Sequence[str] | None = None,
         right_ids: Sequence[str] | None = None,
     ):
-        if left_count < 0 or right_count < 0:
-            raise ValueError("partition sizes must be non-negative")
-        if edges is None:
-            lefts = np.empty(0, dtype=np.int64)
-            rights = np.empty(0, dtype=np.int64)
-            weights = np.empty(0, dtype=np.float64)
-        else:
-            triples = list(edges)
-            lefts = _as_index_array([e[0] for e in triples], "left indices")
-            rights = _as_index_array([e[1] for e in triples], "right indices")
-            weights = np.asarray([e[2] for e in triples], dtype=np.float64)
-        self._init_from_arrays(left_count, right_count, lefts, rights, weights,
-                               left_ids, right_ids, canonical=False)
-
-    # ------------------------------------------------------------------
-    # construction helpers
+        triples = [] if edges is None else list(edges)
+        self._init(left_count, right_count,
+                   *_canonical_edges(left_count, right_count,
+                                     [e[0] for e in triples],
+                                     [e[1] for e in triples],
+                                     [e[2] for e in triples]),
+                   left_ids, right_ids)
 
     @classmethod
     def from_arrays(
@@ -136,49 +169,14 @@ class SimilarityGraph:
     ) -> "SimilarityGraph":
         """Build a graph from parallel edge arrays."""
         g = cls.__new__(cls)
-        g._init_from_arrays(
-            left_count,
-            right_count,
-            _as_index_array(lefts, "left indices"),
-            _as_index_array(rights, "right indices"),
-            np.asarray(weights, dtype=np.float64),
-            left_ids,
-            right_ids,
-            canonical=False,
-        )
+        g._init(left_count, right_count,
+                *_canonical_edges(left_count, right_count, lefts, rights, weights),
+                left_ids, right_ids)
         return g
 
-    @classmethod
-    def _from_canonical(cls, left_count, right_count, lefts, rights, weights,
-                        left_ids, right_ids) -> "SimilarityGraph":
-        # Internal fast path: arrays are already validated and in canonical
-        # order (e.g. a prefix slice of another graph's arrays).
-        g = cls.__new__(cls)
-        g._init_from_arrays(left_count, right_count, lefts, rights, weights,
-                            left_ids, right_ids, canonical=True)
-        return g
-
-    def _init_from_arrays(self, left_count, right_count, lefts, rights, weights,
-                          left_ids, right_ids, canonical):
-        if not (len(lefts) == len(rights) == len(weights)):
-            raise ValueError("edge arrays must have equal length")
-        if not canonical:
-            if len(lefts) and (lefts.min() < 0 or lefts.max() >= left_count):
-                raise ValueError("left endpoint out of bounds")
-            if len(rights) and (rights.min() < 0 or rights.max() >= right_count):
-                raise ValueError("right endpoint out of bounds")
-            if len(weights) and not np.all(np.isfinite(weights)):
-                raise ValueError("edge weights must be finite")
-            if len(lefts):
-                packed = lefts * max(right_count, 1) + rights
-                if len(np.unique(packed)) != len(packed):
-                    raise ValueError("duplicate (left, right) edge")
-                order = np.lexsort((rights, lefts, -weights))
-                lefts = lefts[order]
-                rights = rights[order]
-                weights = weights[order]
-        for arr in (lefts, rights, weights):
-            arr.setflags(write=False)
+    def _init(self, left_count, right_count, lefts, rights, weights,
+              left_ids, right_ids):
+        # The edge arrays are already validated and in canonical order.
         self.left_count = int(left_count)
         self.right_count = int(right_count)
         self.lefts = lefts
@@ -287,11 +285,11 @@ class SimilarityGraph:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         cut = int(np.searchsorted(-self.weights, -threshold, side="right"))
-        return SimilarityGraph._from_canonical(
-            self.left_count, self.right_count,
-            self.lefts[:cut], self.rights[:cut], self.weights[:cut],
-            self.left_ids, self.right_ids,
-        )
+        g = SimilarityGraph.__new__(SimilarityGraph)
+        g._init(self.left_count, self.right_count,
+                self.lefts[:cut], self.rights[:cut], self.weights[:cut],
+                self.left_ids, self.right_ids)
+        return g
 
     def normalized(self) -> "SimilarityGraph":
         """Min-max normalize edge weights to span [0, 1].
@@ -302,17 +300,11 @@ class SimilarityGraph:
         """
         if self.edge_count == 0:
             raise EmptyGraphError("cannot normalize a graph with no edges")
-        w_min = float(self.weights.min())
-        w_max = float(self.weights.max())
-        if w_max == w_min:
-            new_weights = np.ones_like(self.weights)
-        else:
-            new_weights = (self.weights - w_min) / (w_max - w_min)
         # Re-canonicalize: rounding can collapse distinct weights into ties,
         # which then need the (left, right) tie-break.
         return SimilarityGraph.from_arrays(
             self.left_count, self.right_count,
-            self.lefts, self.rights, new_weights,
+            self.lefts, self.rights, _min_max(self.weights),
             left_ids=self.left_ids, right_ids=self.right_ids,
         )
 
@@ -455,7 +447,9 @@ def write_edge_list(graph: SimilarityGraph, path, *, comments: Sequence[str] = (
 def read_edge_list(path) -> SimilarityGraph:
     left_index: dict[str, int] = {}
     right_index: dict[str, int] = {}
-    edges: list[tuple[int, int, float]] = []
+    lefts: list[int] = []
+    rights: list[int] = []
+    weights: list[float] = []
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -474,10 +468,13 @@ def read_edge_list(path) -> SimilarityGraph:
                 raise DataFormatError(
                     f"bad weight {weight_text!r}", path=path, line=lineno
                 ) from None
-            l = left_index.setdefault(left_id, len(left_index))
-            r = right_index.setdefault(right_id, len(right_index))
-            edges.append((l, r, weight))
-    return SimilarityGraph(
-        len(left_index), len(right_index), edges,
-        left_ids=list(left_index), right_ids=list(right_index),
-    )
+            lefts.append(left_index.setdefault(left_id, len(left_index)))
+            rights.append(right_index.setdefault(right_id, len(right_index)))
+            weights.append(weight)
+    try:
+        return SimilarityGraph.from_arrays(
+            len(left_index), len(right_index), lefts, rights, weights,
+            left_ids=list(left_index), right_ids=list(right_index),
+        )
+    except ValueError as exc:
+        raise DataFormatError(str(exc), path=path) from None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,3 @@ class ProfileCollection:
     def __repr__(self):
         return f"ProfileCollection({len(self.profiles)} profiles)"
 
-
-def collection_from_pairs(rows: Sequence[tuple[str, Mapping[str, Sequence[str]]]]
-                          ) -> ProfileCollection:
-    """Convenience constructor from ``(id, {attr: [values]})`` rows."""
-    return ProfileCollection(
-        EntityProfile(pid, {k: tuple(v) for k, v in attrs.items()})
-        for pid, attrs in rows
-    )

@@ -12,8 +12,10 @@ A similarity function is a representation model plus a compatible measure:
     graph       n-gram graphs: containment, value, normalized_value, overall
     vector      precomputed embeddings: cosine, euclidean
 
-The builder scores every cross-collection pair (no blocking), keeps pairs
-with similarity strictly above zero, and min-max normalizes the result.
+The builder scores every cross-collection pair (no blocking) into parallel
+``(lefts, rights, sims)`` arrays, keeps pairs with similarity strictly above
+zero, min-max normalizes the similarities, and only then hands the arrays to
+:meth:`SimilarityGraph.from_arrays`, which validates and sorts them once.
 Raw strings are preprocessed with NFC + casefold + whitespace collapse;
 bag/graph models apply the gram extractor's own normalization.  Profiles
 without usable content for the configured scope contribute no edges.
@@ -31,7 +33,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..graph import SimilarityGraph
+from ..graph import SimilarityGraph, _min_max
 from ..profiles import EntityProfile, ProfileCollection
 from .bags import (
     BAG_MEASURES,
@@ -175,14 +177,16 @@ def _init_worker(left_reps, right_reps, cfg, stats_left, stats_right):
                                                          stats_right))
 
 
-def _score_rows(bounds: tuple[int, int]) -> list[tuple[int, int, float]]:
+def _score_rows(bounds: tuple[int, int]):
     left_reps, right_reps, scorer = _WORKER_STATE
     return _score_rows_direct(left_reps, right_reps, scorer, bounds)
 
 
 def _score_rows_direct(left_reps, right_reps, scorer, bounds):
     lo, hi = bounds
-    out: list[tuple[int, int, float]] = []
+    lefts: list[int] = []
+    rights: list[int] = []
+    sims: list[float] = []
     for i in range(lo, hi):
         a = left_reps[i]
         if a is None:
@@ -192,8 +196,12 @@ def _score_rows_direct(left_reps, right_reps, scorer, bounds):
                 continue
             sim = scorer(a, b)
             if sim > 0.0:
-                out.append((i, j, sim))
-    return out
+                lefts.append(i)
+                rights.append(j)
+                sims.append(sim)
+    return (np.asarray(lefts, dtype=np.int64),
+            np.asarray(rights, dtype=np.int64),
+            np.asarray(sims, dtype=np.float64))
 
 
 # -- vectorized fast paths -----------------------------------------------
@@ -239,8 +247,6 @@ def _bag_cosine_edges(left_reps: list[BagModel | None],
         lefts.append(block.row[keep].astype(np.int64) + lo)
         rights.append(block.col[keep].astype(np.int64))
         sims.append(block.data[keep])
-    if not lefts:
-        return [], [], []
     return np.concatenate(lefts), np.concatenate(rights), np.concatenate(sims)
 
 
@@ -320,13 +326,19 @@ def build_similarity_graph(
                 "the vector model needs precomputed embeddings for both "
                 "collections")
         emb_left, emb_right = embeddings
-        dims = {v.shape[-1] for v in list(emb_left.values())[:1]} | \
-            {v.shape[-1] for v in list(emb_right.values())[:1]}
-        if len(dims) > 1:
-            raise ConfigurationError(
-                f"embedding dimensionality differs between sides: {dims}")
+        dim = None
         for side_name, coll, table in (("left", left, emb_left),
                                        ("right", right, emb_right)):
+            for profile in coll:
+                if profile.id not in table:
+                    continue
+                shape = np.shape(table[profile.id])
+                if dim is None and len(shape) == 1:
+                    dim = shape[0]
+                if shape != (dim,):
+                    raise ConfigurationError(
+                        f"{side_name} embedding {profile.id!r} has shape "
+                        f"{shape}; expected ({dim},)")
             unknown = set(table) - set(coll.by_id)
             if unknown:
                 logger.warning(
@@ -349,30 +361,27 @@ def build_similarity_graph(
 
     if cfg.model == "bag" and cfg.measure == "cosine":
         lefts, rights, sims = _bag_cosine_edges(left_reps, right_reps)
-        edges = list(zip(lefts, rights, sims))
     elif cfg.model == "vector":
         lefts, rights, sims = _vector_edges(left_reps, right_reps, cfg.measure)
-        edges = list(zip(lefts, rights, sims))
     elif workers > 1 and len(left) > 1:
-        blocks = _split_rows(len(left), workers)
-        edges = []
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
             initargs=(left_reps, right_reps, cfg, stats_left, stats_right),
         ) as pool:
-            for block_edges in pool.map(_score_rows, blocks):
-                edges.extend(block_edges)
+            blocks = list(pool.map(_score_rows,
+                                   _split_rows(len(left), workers)))
+        lefts, rights, sims = (np.concatenate(parts) for parts in zip(*blocks))
     else:
         scorer = _make_scorer(cfg, stats_left, stats_right)
-        edges = _score_rows_direct(left_reps, right_reps, scorer,
-                                   (0, len(left)))
+        lefts, rights, sims = _score_rows_direct(left_reps, right_reps, scorer,
+                                                 (0, len(left)))
 
-    graph = SimilarityGraph(len(left), len(right), edges,
-                            left_ids=left.ids, right_ids=right.ids)
-    if graph.edge_count == 0:
-        return graph
-    return graph.normalized()
+    if len(sims):
+        sims = _min_max(sims)
+    return SimilarityGraph.from_arrays(len(left), len(right), lefts, rights,
+                                       sims, left_ids=left.ids,
+                                       right_ids=right.ids)
 
 
 def _split_rows(total: int, workers: int) -> list[tuple[int, int]]:

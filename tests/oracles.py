@@ -10,6 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def canonical_edge_order(edges: list[tuple[int, int, float]]
+                         ) -> list[tuple[int, int, float]]:
+    """Descending weight, ties by ascending ``(left, right)``."""
+    return sorted(edges, key=lambda e: (-e[2], e[0], e[1]))
+
+
 def best_matching_value(edges: list[tuple[int, int, float]]) -> float:
     """Maximum total weight over all matchings; exhaustive recursion.
 

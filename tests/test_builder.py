@@ -116,7 +116,7 @@ class TestBuilder:
         reps_r = _representations(RIGHT, cfg, stats_r, None)
         scorer = _make_scorer(cfg, stats_l, stats_r)
         raw = {(i, j): s for i, j, s in
-               _score_rows_direct(reps_l, reps_r, scorer, (0, len(LEFT)))}
+               zip(*_score_rows_direct(reps_l, reps_r, scorer, (0, len(LEFT))))}
         assert {(l, r) for l, r, _ in g.edge_list()} == set(raw)
 
     def test_workers_do_not_change_results(self):
@@ -160,6 +160,21 @@ class TestBuilder:
         g = build_similarity_graph(left, right, cfg, embeddings=(emb_l, emb_r))
         # only l0-r0 has positive cosine; single edge normalizes to 1.0
         assert g.edge_records() == [("l0", "r0", 1.0)]
+
+    def test_ragged_embeddings_name_side_and_id(self):
+        left = ProfileCollection([EntityProfile("l0"), EntityProfile("l1")])
+        right = ProfileCollection([EntityProfile("r0")])
+        emb_r = {"r0": np.array([1.0, 0.0])}
+        cfg = SimFnConfig(model="vector", measure="cosine")
+        for emb_l, culprit in (
+            ({"l0": np.array([1.0, 0.0]), "l1": np.array([0.0, 1.0, 0.0])},
+             "left embedding 'l1'"),
+            ({"l0": np.array([1.0, 0.0, 0.0])}, "right embedding 'r0'"),
+            ({"l0": np.ones((2, 2))}, "left embedding 'l0'"),
+        ):
+            with pytest.raises(ConfigurationError, match=culprit):
+                build_similarity_graph(left, right, cfg,
+                                       embeddings=(emb_l, emb_r))
 
     def test_vector_model_requires_embeddings(self):
         cfg = SimFnConfig(model="vector", measure="cosine")

@@ -57,6 +57,23 @@ class TestSweepCommand:
         assert code == 0
         assert len(report.read_text().strip().splitlines()) == 21
 
+    def test_csv_format_on_stdout(self, demo_files, capsys):
+        graph, gt = demo_files
+        code = main(["sweep", "--graph", str(graph), "--gt", str(gt),
+                     "--algorithm", "umc", "--format", "csv"])
+        assert code == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 21
+
+    def test_stdout_equals_report_file(self, demo_files, tmp_path, capsys):
+        graph, gt = demo_files
+        report = tmp_path / "sweep.json"
+        args = ["sweep", "--graph", str(graph), "--gt", str(gt),
+                "--algorithm", "krc"]
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        assert main(args + ["--report", str(report)]) == 0
+        assert stdout.encode("utf-8") == report.read_bytes()
+
     def test_deterministic_report_bytes(self, demo_files, tmp_path):
         graph, gt = demo_files
         blobs = []
@@ -240,6 +257,39 @@ class TestReproduceCommand:
 
     def test_unknown_recipe_is_usage_error(self, capsys):
         assert main(["reproduce", "--recipe", "table9"]) == 1
+
+
+BAD_INPUTS = {
+    "nan-weight": ("match", "A1\tB1\tnan\n", [], 2),
+    "duplicate-edge": ("match", "A1\tB1\t0.5\nA1\tB1\t0.4\n", [], 2),
+    "malformed-line": ("sweep", "A1\tB1\n", [], 2),
+    "zero-repetitions": ("bench", "A1\tB1\t0.5\n", ["--repetitions", "0"], 1),
+    "negative-repetitions": ("bench", "A1\tB1\t0.5\n",
+                             ["--repetitions", "-2"], 1),
+}
+
+
+@pytest.mark.parametrize("command, graph_text, extra, expected",
+                         BAD_INPUTS.values(), ids=list(BAD_INPUTS))
+def test_bad_input_exit_code_without_traceback(demo_files, tmp_path, capsys,
+                                               command, graph_text, extra,
+                                               expected):
+    _, gt = demo_files
+    graph = tmp_path / "bad.tsv"
+    graph.write_text(graph_text, encoding="utf-8")
+    args = [command, "--graph", str(graph), "--algorithm", "umc"]
+    if command == "sweep":
+        args += ["--gt", str(gt)]
+    elif command == "match":
+        args += ["--threshold", "0.5", "--output", str(tmp_path / "m.tsv")]
+    else:
+        args += ["--threshold", "0.5"]
+    assert main(args + extra) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    if expected == 2:
+        assert str(graph) in err
 
 
 class TestUsage:

@@ -19,6 +19,37 @@ from erbimatch import (
 )
 
 from conftest import make_random_graph
+from oracles import canonical_edge_order
+
+
+@st.composite
+def edge_sets(draw):
+    """Partition sizes with spare (isolated) nodes, and edges on a few
+    weight levels so that ties are common."""
+    n1, n2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pairs = draw(st.dictionaries(
+        st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1)),
+        st.sampled_from([0.1, 0.5, 0.5000000000000001, 1.0]),
+        max_size=n1 * n2))
+    edges = [(l, r, w) for (l, r), w in pairs.items()]
+    return n1 + draw(st.integers(0, 2)), n2 + draw(st.integers(0, 2)), edges
+
+
+def build(constructor, n1, n2, edges):
+    if constructor == "tuples":
+        return SimilarityGraph(n1, n2, edges)
+    columns = [np.array([e[k] for e in edges]) for k in range(3)]
+    return SimilarityGraph.from_arrays(n1, n2, *columns)
+
+
+BAD_EDGES = {
+    "duplicate": ([(0, 1, 0.3), (0, 1, 0.4)], "duplicate"),
+    "left-out-of-range": ([(2, 0, 0.5)], "left endpoint"),
+    "right-out-of-range": ([(0, 2, 0.5)], "right endpoint"),
+    "negative-index": ([(0, -1, 0.5)], "right endpoint"),
+    "nan": ([(0, 0, 0.5), (1, 1, float("nan"))], "finite"),
+    "inf": ([(0, 0, float("inf"))], "finite"),
+}
 
 
 def refs(*specs):
@@ -29,6 +60,22 @@ class TestConstruction:
     def test_canonical_edge_order(self):
         g = SimilarityGraph(3, 3, [(2, 1, 0.5), (0, 0, 0.9), (1, 2, 0.5)])
         assert g.edge_list() == [(0, 0, 0.9), (1, 2, 0.5), (2, 1, 0.5)]
+
+    @pytest.mark.parametrize("constructor", ["tuples", "arrays"])
+    @given(case=edge_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_constructors_match_oracle_order(self, constructor, case):
+        n1, n2, edges = case
+        g = build(constructor, n1, n2, edges)
+        assert g.edge_list() == canonical_edge_order(edges)
+        assert (g.left_count, g.right_count) == (n1, n2)
+
+    @pytest.mark.parametrize("constructor", ["tuples", "arrays"])
+    @pytest.mark.parametrize("edges, message", BAD_EDGES.values(),
+                             ids=list(BAD_EDGES))
+    def test_bad_edges_rejected(self, constructor, edges, message):
+        with pytest.raises(ValueError, match=message):
+            build(constructor, 2, 2, edges)
 
     def test_duplicate_edges_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -106,6 +153,20 @@ class TestNormalize:
     def test_interior_value(self):
         g = SimilarityGraph(3, 1, [(0, 0, 0.1), (1, 0, 0.4), (2, 0, 0.7)])
         assert np.allclose(sorted(min_max_normalize(g).weights), [0.0, 0.5, 1.0])
+
+    def test_rounding_ties_are_re_sorted(self):
+        # the two middle weights differ in the last bit and normalize to the
+        # same value, so the (left, right) tie-break reorders them
+        w = [0.00034648000551222515, 8.959681133457559e-05,
+             8.959681133457557e-05, 3.707167516575627e-06]
+        g = SimilarityGraph(2, 3, [(0, 0, w[0]), (1, 1, w[1]),
+                                   (0, 1, w[2]), (1, 2, w[3])])
+        assert [(l, r) for l, r, _ in g.edge_list()] == \
+            [(0, 0), (1, 1), (0, 1), (1, 2)]
+        norm = g.normalized()
+        assert norm.weights.tolist()[1:3] == [0.2505730743434521] * 2
+        assert [(l, r) for l, r, _ in norm.edge_list()] == \
+            [(0, 0), (0, 1), (1, 1), (1, 2)]
 
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyGraphError):
