@@ -68,6 +68,8 @@ def _default_workers() -> int:
             return max(1, int(env))
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 

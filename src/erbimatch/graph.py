@@ -230,10 +230,9 @@ class SimilarityGraph:
     def pair_weights(self) -> dict[tuple[int, int], float]:
         """Lazily built ``(left, right) -> weight`` lookup table."""
         if self._pair_weights is None:
-            self._pair_weights = {
-                (int(l), int(r)): float(w)
-                for l, r, w in zip(self.lefts, self.rights, self.weights)
-            }
+            self._pair_weights = dict(zip(
+                zip(self.lefts.tolist(), self.rights.tolist()),
+                self.weights.tolist()))
         return self._pair_weights
 
     def _adjacency(self, side: Side):

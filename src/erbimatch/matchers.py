@@ -16,6 +16,9 @@ edges with weight >= t are retained.
     krc  proposal scheme with one second chance per proposer
          (3/2-approximation family for maximum stable marriage)
     umc  globally greedy by descending weight
+
+cnc, rca, exc and umc are filters over an interval form (see below), from
+which one run gives the matching at every larger threshold.
 """
 
 from __future__ import annotations
@@ -95,13 +98,7 @@ def match_cnc(graph: SimilarityGraph, threshold: float) -> Matching:
     degree 1 in the pruned graph, so no explicit closure pass is needed.
     """
     _check_threshold(threshold)
-    g = graph.prune(threshold)
-    if g.edge_count == 0:
-        return Matching()
-    deg_l = g.degrees(Side.LEFT)
-    deg_r = g.degrees(Side.RIGHT)
-    keep = (deg_l[g.lefts] == 1) & (deg_r[g.rights] == 1)
-    return Matching(zip(g.lefts[keep].tolist(), g.rights[keep].tolist()))
+    return _matching_at(_cnc_intervals(graph, threshold), threshold)
 
 
 def match_rsr(graph: SimilarityGraph, threshold: float) -> Matching:
@@ -190,31 +187,12 @@ def rca_passes(graph: SimilarityGraph) -> tuple[list[tuple[int, int]], float,
     still-unassigned right node; pass 2 is the mirror image.  Absent edges
     count as similarity 0 and never produce an assignment.
     """
-    pairs_rows: list[tuple[int, int]] = []
-    value_rows = 0.0
-    taken_r = np.zeros(graph.right_count, dtype=bool)
-    for i in range(graph.left_count):
-        nbrs, ws = graph.neighbors(Side.LEFT, i)
-        for j, w in zip(nbrs.tolist(), ws.tolist()):
-            if not taken_r[j]:
-                pairs_rows.append((i, j))
-                taken_r[j] = True
-                value_rows += w
-                break
-
-    pairs_cols: list[tuple[int, int]] = []
-    value_cols = 0.0
-    taken_l = np.zeros(graph.left_count, dtype=bool)
-    for j in range(graph.right_count):
-        nbrs, ws = graph.neighbors(Side.RIGHT, j)
-        for i, w in zip(nbrs.tolist(), ws.tolist()):
-            if not taken_l[i]:
-                pairs_cols.append((i, j))
-                taken_l[i] = True
-                value_cols += w
-                break
-
-    return pairs_rows, value_rows, pairs_cols, value_cols
+    rows, value_rows = _greedy_pass(graph, Side.LEFT)
+    cols, value_cols = _greedy_pass(graph, Side.RIGHT)
+    return (list(zip(graph.lefts[rows].tolist(), graph.rights[rows].tolist())),
+            value_rows,
+            list(zip(graph.lefts[cols].tolist(), graph.rights[cols].tolist())),
+            value_cols)
 
 
 def match_rca(graph: SimilarityGraph, threshold: float) -> Matching:
@@ -225,10 +203,7 @@ def match_rca(graph: SimilarityGraph, threshold: float) -> Matching:
     pass at the end.  A value tie returns the column pass.
     """
     _check_threshold(threshold)
-    pairs_rows, value_rows, pairs_cols, value_cols = rca_passes(graph)
-    chosen = pairs_rows if value_rows > value_cols else pairs_cols
-    lookup = graph.pair_weights()
-    return Matching(p for p in chosen if lookup[p] >= threshold)
+    return _matching_at(_rca_intervals(graph, threshold), threshold)
 
 
 def match_bah(
@@ -328,17 +303,7 @@ def match_exc(graph: SimilarityGraph, threshold: float) -> Matching:
     weight, then ascending index), so "best" is the first neighbor.
     """
     _check_threshold(threshold)
-    g = graph.prune(threshold)
-    pairs = []
-    for i in range(g.left_count):
-        nbrs, _ = g.neighbors(Side.LEFT, i)
-        if not len(nbrs):
-            continue
-        j = int(nbrs[0])
-        back, _ = g.neighbors(Side.RIGHT, j)
-        if int(back[0]) == i:
-            pairs.append((i, j))
-    return Matching(pairs)
+    return _matching_at(_exc_intervals(graph, threshold), threshold)
 
 
 def match_krc(graph: SimilarityGraph, threshold: float) -> Matching:
@@ -403,16 +368,133 @@ def match_umc(graph: SimilarityGraph, threshold: float) -> Matching:
     The edge order is the canonical one (ties by ascending (left, right)).
     """
     _check_threshold(threshold)
-    g = graph.prune(threshold)
+    return _matching_at(_umc_intervals(graph, threshold), threshold)
+
+
+# ----------------------------------------------------------------------
+# interval forms
+#
+# For cnc, rca, exc and umc the matching at every threshold t >= floor
+# follows from one run at ``floor``.  The interval form of such a run is
+# ``(lefts, rights, lo, hi)``: the index pairs the matcher can output and,
+# per pair, bounds such that the pair is matched at t exactly when
+# lo < t <= hi.  Each of the four matchers is its own form at t, filtered;
+# a threshold sweep builds the form once, at the smallest grid point.
+
+_Intervals = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _matching_at(form: _Intervals, threshold: float) -> Matching:
+    lefts, rights, lo, hi = form
+    keep = (lo < threshold) & (threshold <= hi)
+    return Matching(zip(lefts[keep].tolist(), rights[keep].tolist()))
+
+
+def _edge_intervals(graph: SimilarityGraph, positions,
+                    lo: np.ndarray | None = None) -> _Intervals:
+    """The edges at ``positions``, each matched while its weight is >= t."""
+    hi = graph.weights[positions]
+    if lo is None:
+        lo = np.full(len(hi), -np.inf)
+    return graph.lefts[positions], graph.rights[positions], lo, hi
+
+
+def _mutual_best(graph: SimilarityGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the edges that are the first neighbor of both ends, and
+    per such edge the larger of its ends' second-neighbor weights (-inf for
+    an end of degree 1).  A node's neighbors are its edges in canonical
+    order, so its first and second neighbors are its two lowest positions.
+    """
+    m = graph.edge_count
+    positions = np.arange(m)
+    best = np.ones(m, dtype=bool)
+    seconds = []
+    for ends, count in ((graph.lefts, graph.left_count),
+                        (graph.rights, graph.right_count)):
+        first = np.full(count, m)
+        np.minimum.at(first, ends, positions)
+        head = first[ends] == positions
+        second = np.full(count, m)
+        np.minimum.at(second, ends, np.where(head, m, positions))
+        best &= head
+        seconds.append(second)
+    best = np.flatnonzero(best)
+    weights = np.append(graph.weights, -np.inf)  # position m: no neighbor
+    return best, np.maximum(weights[seconds[0][graph.lefts[best]]],
+                            weights[seconds[1][graph.rights[best]]])
+
+
+def _cnc_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
+    """An edge is a whole component at t when it survives and every other
+    edge at both ends does not: max(second best at each end) < t <= w.
+    Only mutual-best edges can pass, as any other edge has an end whose
+    best edge is at least as heavy."""
+    g = graph.prune(floor)
+    return _edge_intervals(g, *_mutual_best(g))
+
+
+def _exc_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
+    """Pruning cuts a prefix off each neighbor list, so a mutual-best edge
+    stays mutual best while it survives, and no new one appears."""
+    g = graph.prune(floor)
+    return _edge_intervals(g, _mutual_best(g)[0])
+
+
+def _greedy_pass(graph: SimilarityGraph,
+                 side: Side) -> tuple[np.ndarray, float]:
+    """One rca pass: the nodes of ``side``, in index order, each take their
+    best still-free neighbor.  Returns the taken edges' positions and the
+    sum of their weights, added up in pass order."""
+    order, starts = graph._adjacency(side)
+    ends = graph.rights if side is Side.LEFT else graph.lefts
+    others = ends[order].tolist()
+    weights = graph.weights[order].tolist()
+    bounds = starts.tolist()
+    taken = bytearray(graph.right_count if side is Side.LEFT
+                      else graph.left_count)
+    picked = []
+    value = 0.0
+    for i in range(len(bounds) - 1):
+        for k in range(bounds[i], bounds[i + 1]):
+            j = others[k]
+            if not taken[j]:
+                taken[j] = 1
+                picked.append(k)
+                value += weights[k]
+                break
+    return order[np.array(picked, dtype=np.int64)], value
+
+
+def _rca_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
+    """The passes ignore the threshold, so ``floor`` is unused: the winning
+    pass is filtered to weight >= t at every t."""
+    rows, value_rows = _greedy_pass(graph, Side.LEFT)
+    cols, value_cols = _greedy_pass(graph, Side.RIGHT)
+    return _edge_intervals(graph, rows if value_rows > value_cols else cols)
+
+
+def _umc_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
+    """Pruning at t >= floor keeps a prefix of the greedy scan, and the
+    scan's choices within a prefix do not depend on what follows."""
+    g = graph.prune(floor)
     taken_l = bytearray(g.left_count)
     taken_r = bytearray(g.right_count)
-    pairs = []
-    for l, r in zip(g.lefts.tolist(), g.rights.tolist()):
+    picked = []
+    for k, l, r in zip(range(g.edge_count), g.lefts.tolist(),
+                       g.rights.tolist()):
         if not taken_l[l] and not taken_r[r]:
             taken_l[l] = 1
             taken_r[r] = 1
-            pairs.append((l, r))
-    return Matching(pairs)
+            picked.append(k)
+    return _edge_intervals(g, np.array(picked, dtype=np.int64))
+
+
+_INTERVAL_FORMS: dict[str, Callable[[SimilarityGraph, float], _Intervals]] = {
+    "cnc": _cnc_intervals,
+    "rca": _rca_intervals,
+    "exc": _exc_intervals,
+    "umc": _umc_intervals,
+}
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,21 @@
 import json
+import random
 
 import pytest
 
 from erbimatch.cli import main
-from erbimatch.evaluation import GroundTruth
-from erbimatch.graph import write_edge_list
-from erbimatch.ingest import write_ground_truth
+from erbimatch.evaluation import (
+    GroundTruth,
+    emit_report,
+    sweep_report,
+    threshold_sweep,
+)
+from erbimatch.graph import read_edge_list, write_edge_list
+from erbimatch.ingest import read_ground_truth, write_ground_truth
+from erbimatch.matchers import ALGORITHMS, get_matcher
 from erbimatch.reference import REFERENCE_TRUE_PAIRS, reference_graph
+
+from conftest import make_random_graph
 
 
 @pytest.fixture
@@ -84,6 +93,46 @@ class TestSweepCommand:
                   "--report", str(report)])
             blobs.append(report.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+@pytest.fixture
+def tied_files(tmp_path):
+    """A random graph with tied weights and a ground truth that names an id
+    absent from the graph."""
+    g = make_random_graph(random.Random(3), max_side=30, density=0.3,
+                          weight_grid=10)
+    graph_path = tmp_path / "tied.tsv"
+    gt_path = tmp_path / "tied-gt.tsv"
+    write_edge_list(g, graph_path)
+    pairs = list(zip(g.left_ids[::2], g.right_ids[::3])) + [("Lx", "Rx")]
+    write_ground_truth(GroundTruth(pairs), gt_path)
+    return graph_path, gt_path
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_report_equals_per_threshold_loop(tied_files, tmp_path, name,
+                                                fmt):
+    graph_path, gt_path = tied_files
+    report = tmp_path / f"cli.{fmt}"
+    extra = ["--max-moves", "300", "--seed", "7"] if name == "bah" else []
+    assert main(["sweep", "--graph", str(graph_path), "--gt", str(gt_path),
+                 "--algorithm", name, "--format", fmt,
+                 "--report", str(report)] + extra) == 0
+    # The CLI's resolved configuration, echoed in its JSON report.
+    echo = tmp_path / "echo.json"
+    assert main(["sweep", "--graph", str(graph_path), "--gt", str(gt_path),
+                 "--algorithm", name, "--report", str(echo)] + extra) == 0
+    config = json.loads(echo.read_text())["config"]
+    matcher = get_matcher(name, **{k: v for k, v in config.items()
+                                   if k != "algorithm"})
+    graph = read_edge_list(graph_path)
+    loop = threshold_sweep(graph, lambda g, t: matcher(g, t),
+                           read_ground_truth(gt_path))
+    expected = tmp_path / f"loop.{fmt}"
+    emit_report(sweep_report(loop, algorithm=name, config=config,
+                             dataset=graph_path.name), expected, fmt)
+    assert report.read_bytes() == expected.read_bytes()
 
 
 class TestMatchCommand:
@@ -308,3 +357,19 @@ class TestUsage:
         assert _default_workers() == 3
         monkeypatch.setenv("ERBIMATCH_WORKERS", "junk")
         assert _default_workers() >= 1
+
+    def test_workers_follow_cpu_affinity(self, monkeypatch):
+        import os
+
+        from erbimatch.cli import _default_workers
+
+        monkeypatch.delenv("ERBIMATCH_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                            raising=False)
+        assert _default_workers() == 2
+        monkeypatch.setenv("ERBIMATCH_WORKERS", "5")
+        assert _default_workers() == 5
+        monkeypatch.delenv("ERBIMATCH_WORKERS")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _default_workers() == 64

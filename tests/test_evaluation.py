@@ -1,9 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from erbimatch import Matching
+from erbimatch import Matching, SimilarityGraph
 from erbimatch.evaluation import (
     DEFAULT_GRID,
     GroundTruth,
@@ -17,8 +18,15 @@ from erbimatch.evaluation import (
     sweep_report,
     threshold_sweep,
 )
+from erbimatch.matchers import (
+    _INTERVAL_FORMS,
+    ALGORITHMS,
+    _matching_at,
+    get_matcher,
+)
 from erbimatch.reference import REFERENCE_TRUE_PAIRS
 
+from conftest import make_random_graph
 from oracles import friedman_permutation_pvalue
 
 
@@ -109,6 +117,80 @@ class TestThresholdSweep:
             assert score.f_measure <= best
             if t > result.optimal_t:
                 assert score.f_measure < best
+
+
+# Small bah budget, so the per-threshold loop oracle stays fast.
+SWEEP_CONFIG = {"bah": {"max_moves": 200}}
+
+
+def _sweep_case(rng):
+    """A random graph with tied weights and spare isolated nodes, a ground
+    truth that names ids absent from the graph, and an unsorted grid with
+    duplicates and both ends of [0, 1]."""
+    g = make_random_graph(rng, max_side=9, density=0.5,
+                          weight_grid=rng.choice([None, 2, 4, 20]))
+    g = SimilarityGraph.from_arrays(g.left_count + rng.randint(0, 2),
+                                    g.right_count + rng.randint(0, 2),
+                                    g.lefts, g.rights, g.weights)
+    rights = list(g.right_ids) + ["absent-right"]
+    rng.shuffle(rights)
+    pairs = [(l, r) for l, r in zip(g.left_ids + ("absent-left",), rights)
+             if rng.random() < 0.6]
+    grid = rng.sample(DEFAULT_GRID, rng.randint(1, 6)) + [0.0, 1.0, 0.5, 0.5]
+    rng.shuffle(grid)
+    return g, GroundTruth(pairs), grid
+
+
+def _evaluate_each(graph, matcher, gt, grid):
+    """Reference scores: the matcher at every t, scored by ``evaluate``."""
+    return tuple(evaluate(matcher(graph, t), gt, graph.left_ids,
+                          graph.right_ids) for t in grid)
+
+
+class TestSweepEngine:
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_equals_per_threshold_loop(self, name):
+        config = SWEEP_CONFIG.get(name, {})
+        m = get_matcher(name, **config)
+        rng = random.Random(7)
+        for case in range(60):
+            g, gt, grid = _sweep_case(rng)
+            if case % 10 == 0:
+                gt = GroundTruth()
+            fast = threshold_sweep(g, name, gt, grid=grid,
+                                   matcher_config=config)
+            loop = threshold_sweep(g, lambda graph, t: m(graph, t), gt,
+                                   grid=grid)
+            assert fast == loop
+            assert fast.scores == _evaluate_each(g, m, gt, grid)
+
+    @pytest.mark.parametrize("name", sorted(_INTERVAL_FORMS))
+    def test_interval_filter_equals_matcher(self, name):
+        form = _INTERVAL_FORMS[name]
+        matcher = ALGORITHMS[name]
+        rng = random.Random(11)
+        for _ in range(60):
+            g, _, grid = _sweep_case(rng)
+            for t in grid:
+                floor = rng.choice([0.0, t, rng.uniform(0.0, t)])
+                assert _matching_at(form(g, floor), t) == matcher(g, t)
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("bad", [-0.05, 1.5, float("nan")])
+    def test_grid_out_of_range_rejected(self, name, bad, g_ref):
+        with pytest.raises(ValueError):
+            threshold_sweep(g_ref, name, GroundTruth(), grid=[0.5, bad])
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_unknown_matcher_option_rejected(self, name, g_ref):
+        with pytest.raises(ValueError, match="unexpected matcher options"):
+            threshold_sweep(g_ref, name, GroundTruth(),
+                            matcher_config={"bogus": 1})
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_empty_grid_rejected(self, name, g_ref):
+        with pytest.raises(ValueError, match="non-empty"):
+            threshold_sweep(g_ref, name, GroundTruth(), grid=[])
 
 
 class TestBenchmark:
