@@ -41,7 +41,7 @@ from .evaluation import (
 from .fileio import open_text
 from .graph import read_edge_list, write_edge_list
 from .ingest import read_embeddings, read_ground_truth, read_profiles
-from .matchers import ALGORITHMS, get_matcher, write_matching
+from .matchers import ALGORITHMS, BahConfig, get_matcher, write_matching
 from .reference import REFERENCE_TRUE_PAIRS, reference_graph
 from .simgen import GramUnit, SimFnConfig, WeightScheme, build_similarity_graph
 from .simgen.builder import model_coverage
@@ -156,9 +156,11 @@ def _add_matcher_args(p: argparse.ArgumentParser, threshold: bool = True) -> Non
         p.add_argument("--threshold", required=True, type=_threshold_arg)
     p.add_argument("--basis", choices=["left", "right", "auto"], default="auto",
                    help="bmc only: partition used as basis")
-    p.add_argument("--max-moves", type=int, default=10_000, help="bah only")
-    p.add_argument("--time-limit", type=float, default=120.0, help="bah only")
-    p.add_argument("--seed", type=int, default=42, help="bah only")
+    bah = BahConfig()
+    p.add_argument("--max-moves", type=int, default=bah.max_moves, help="bah only")
+    p.add_argument("--time-limit", type=float, default=bah.time_limit,
+                   help="bah only")
+    p.add_argument("--seed", type=int, default=bah.rng_seed, help="bah only")
 
 
 def _matcher_config(args) -> dict:

@@ -135,7 +135,6 @@ class SimilarityGraph:
         "_left_order",
         "_right_starts",
         "_right_order",
-        "_pair_weights",
     )
 
     def __init__(
@@ -188,7 +187,6 @@ class SimilarityGraph:
         self._left_order = None
         self._right_starts = None
         self._right_order = None
-        self._pair_weights = None
 
     @staticmethod
     def _make_ids(ids, count, prefix) -> tuple[str, ...]:
@@ -228,12 +226,25 @@ class SimilarityGraph:
         ]
 
     def pair_weights(self) -> dict[tuple[int, int], float]:
-        """Lazily built ``(left, right) -> weight`` lookup table."""
-        if self._pair_weights is None:
-            self._pair_weights = dict(zip(
-                zip(self.lefts.tolist(), self.rights.tolist()),
-                self.weights.tolist()))
-        return self._pair_weights
+        """A ``(left, right) -> weight`` lookup table, built on each call."""
+        return dict(zip(zip(self.lefts.tolist(), self.rights.tolist()),
+                        self.weights.tolist()))
+
+    def _weights_of(self, pairs) -> list[float]:
+        """The weights of one-to-one ``(left, right)`` index pairs, in order
+        (0.0 where there is no edge), found with a left -> right partner
+        array in one pass over the edges."""
+        lefts, rights = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+        if lefts.size and (min(lefts.min(), rights.min()) < 0
+                           or lefts.max() >= self.left_count
+                           or rights.max() >= self.right_count):
+            raise ValueError("pair names a node outside the graph")
+        partner = np.full(self.left_count, -1, dtype=np.int64)
+        partner[lefts] = rights
+        hit = partner[self.lefts] == self.rights
+        weight = np.zeros(self.left_count)
+        weight[self.lefts[hit]] = self.weights[hit]
+        return weight[lefts].tolist()
 
     def _adjacency(self, side: Side):
         # Group canonical edge positions by endpoint.  A stable sort keeps
@@ -402,8 +413,7 @@ class Matching:
         Recomputed from scratch on every call; pairs without a corresponding
         edge contribute 0.
         """
-        lookup = graph.pair_weights()
-        return sum(lookup.get(pair, 0.0) for pair in self.pairs)
+        return sum(graph._weights_of(self.pairs))
 
     def id_pairs(self, graph: SimilarityGraph) -> set[tuple[str, str]]:
         """Pairs translated to external identifiers."""

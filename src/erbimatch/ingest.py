@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DataFormatError
-from .evaluation import GroundTruth, SweepResult
+from .evaluation import GroundTruth, SweepResult, _true_index_pairs
 from .fileio import open_text
 from .graph import SimilarityGraph
 from .profiles import EntityProfile, ProfileCollection
@@ -260,17 +260,9 @@ def quality_filter(graph: SimilarityGraph, gt: GroundTruth,
     """
     best = max((s.optimal_score.f_measure for s in sweeps.values()),
                default=0.0)
-    lookup = graph.pair_weights()
-    left_index = {ident: i for i, ident in enumerate(graph.left_ids)}
-    right_index = {ident: j for j, ident in enumerate(graph.right_ids)}
-    any_positive = False
-    for l, r in gt:
-        li, rj = left_index.get(l), right_index.get(r)
-        if li is not None and rj is not None and lookup.get((li, rj), 0.0) > 0:
-            any_positive = True
-            break
+    weights = graph._weights_of(_true_index_pairs(gt, graph))
     return GraphQualityFlags(
-        all_matches_zero_weight=not any_positive,
+        all_matches_zero_weight=not any(w > 0 for w in weights),
         noisy=best < noise_f1,
     )
 

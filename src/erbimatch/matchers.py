@@ -11,7 +11,7 @@ edges with weight >= t are retained.
          re-assign neighbors, orphaned centers re-attach to singletons
     rca  row/column greedy assignment, better-valued pass wins
     bah  random swap search over an index-aligned initial assignment
-    bmc  basis side greedily takes its best unmatched counterpart
+    bmc  rca's greedy pass from one basis side, on the pruned graph
     exc  mutual-best pairs only
     krc  proposal scheme with one second chance per proposer
          (3/2-approximation family for maximum stable marriage)
@@ -117,13 +117,9 @@ def match_rsr(graph: SimilarityGraph, threshold: float) -> Matching:
     n1 = g.left_count
     n = g.node_count
 
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i in range(n1):
-        nbrs, ws = g.neighbors(Side.LEFT, i)
-        adjacency[i] = [(n1 + int(j), float(w)) for j, w in zip(nbrs, ws)]
-    for j in range(g.right_count):
-        nbrs, ws = g.neighbors(Side.RIGHT, j)
-        adjacency[n1 + j] = [(int(i), float(w)) for i, w in zip(nbrs, ws)]
+    # Nodes are numbered left first: right node j is n1 + j.
+    adjacency = (_neighbor_lists(g, Side.LEFT, offset=n1)
+                 + _neighbor_lists(g, Side.RIGHT))
     averages = [
         sum(w for _, w in edges) / len(edges) if edges else 0.0
         for edges in adjacency
@@ -274,6 +270,7 @@ def match_bmc(graph: SimilarityGraph, threshold: float,
               basis: Basis = Basis.AUTO) -> Matching:
     """Each basis-side node takes its best not-yet-matched counterpart.
 
+    This is rca's greedy pass from the basis side, run on the pruned graph.
     Basis nodes are visited in index order; AUTO resolves to the smaller
     partition (left on ties).
     """
@@ -281,19 +278,8 @@ def match_bmc(graph: SimilarityGraph, threshold: float,
     if basis is Basis.AUTO:
         basis = Basis.LEFT if graph.left_count <= graph.right_count else Basis.RIGHT
     g = graph.prune(threshold)
-    side = Side.LEFT if basis is Basis.LEFT else Side.RIGHT
-    count = g.left_count if basis is Basis.LEFT else g.right_count
-    taken = np.zeros(g.right_count if basis is Basis.LEFT else g.left_count,
-                     dtype=bool)
-    pairs = []
-    for i in range(count):
-        nbrs, _ = g.neighbors(side, i)
-        for j in nbrs.tolist():
-            if not taken[j]:
-                taken[j] = True
-                pairs.append((i, j) if basis is Basis.LEFT else (j, i))
-                break
-    return Matching(pairs)
+    picked, _ = _greedy_pass(g, Side.LEFT if basis is Basis.LEFT else Side.RIGHT)
+    return Matching(zip(g.lefts[picked].tolist(), g.rights[picked].tolist()))
 
 
 def match_exc(graph: SimilarityGraph, threshold: float) -> Matching:
@@ -319,12 +305,7 @@ def match_krc(graph: SimilarityGraph, threshold: float) -> Matching:
     _check_threshold(threshold)
     g = graph.prune(threshold)
     n1 = g.left_count
-
-    preference: list[list[tuple[int, float]]] = []
-    for i in range(n1):
-        nbrs, ws = g.neighbors(Side.LEFT, i)
-        preference.append(list(zip(nbrs.tolist(), ws.tolist())))
-
+    preference = _neighbor_lists(g, Side.LEFT)
     position = [0] * n1
     second_chance = [False] * n1
     fiance: dict[int, int] = {}
@@ -369,6 +350,48 @@ def match_umc(graph: SimilarityGraph, threshold: float) -> Matching:
     """
     _check_threshold(threshold)
     return _matching_at(_umc_intervals(graph, threshold), threshold)
+
+
+# ----------------------------------------------------------------------
+# neighbor walks, both over SimilarityGraph._adjacency in canonical order
+
+def _neighbor_lists(graph: SimilarityGraph, side: Side,
+                    offset: int = 0) -> list[list[tuple[int, float]]]:
+    """Per node of ``side``, its ``(neighbor + offset, weight)`` pairs,
+    best first: the adjacency that rsr and krc read."""
+    order, starts = graph._adjacency(side)
+    ends = graph.rights if side is Side.LEFT else graph.lefts
+    pairs = list(zip((ends[order] + offset).tolist(),
+                     graph.weights[order].tolist()))
+    bounds = starts.tolist()
+    return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _greedy_pass(graph: SimilarityGraph,
+                 side: Side) -> tuple[np.ndarray, float]:
+    """One rca pass, and the whole of bmc: the nodes of ``side``, in index
+    order, each take their best still-free neighbor.  Returns the taken
+    edges' positions and the sum of their weights, added up in pass order.
+    The walk reads flat lists and stops at the first free neighbor, so it
+    never builds a pair per edge."""
+    order, starts = graph._adjacency(side)
+    ends = graph.rights if side is Side.LEFT else graph.lefts
+    others = ends[order].tolist()
+    weights = graph.weights[order].tolist()
+    bounds = starts.tolist()
+    taken = bytearray(graph.right_count if side is Side.LEFT
+                      else graph.left_count)
+    picked = []
+    value = 0.0
+    for i in range(len(bounds) - 1):
+        for k in range(bounds[i], bounds[i + 1]):
+            j = others[k]
+            if not taken[j]:
+                taken[j] = 1
+                picked.append(k)
+                value += weights[k]
+                break
+    return order[np.array(picked, dtype=np.int64)], value
 
 
 # ----------------------------------------------------------------------
@@ -440,31 +463,6 @@ def _exc_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
     return _edge_intervals(g, _mutual_best(g)[0])
 
 
-def _greedy_pass(graph: SimilarityGraph,
-                 side: Side) -> tuple[np.ndarray, float]:
-    """One rca pass: the nodes of ``side``, in index order, each take their
-    best still-free neighbor.  Returns the taken edges' positions and the
-    sum of their weights, added up in pass order."""
-    order, starts = graph._adjacency(side)
-    ends = graph.rights if side is Side.LEFT else graph.lefts
-    others = ends[order].tolist()
-    weights = graph.weights[order].tolist()
-    bounds = starts.tolist()
-    taken = bytearray(graph.right_count if side is Side.LEFT
-                      else graph.left_count)
-    picked = []
-    value = 0.0
-    for i in range(len(bounds) - 1):
-        for k in range(bounds[i], bounds[i + 1]):
-            j = others[k]
-            if not taken[j]:
-                taken[j] = 1
-                picked.append(k)
-                value += weights[k]
-                break
-    return order[np.array(picked, dtype=np.int64)], value
-
-
 def _rca_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
     """The passes ignore the threshold, so ``floor`` is unused: the winning
     pass is filtered to weight >= t at every t."""
@@ -526,11 +524,9 @@ def get_matcher(name: str, **config) -> Callable[[SimilarityGraph, float], Match
     if key == "bah":
         cfg = config.pop("config", None)
         if cfg is None:
-            cfg = BahConfig(
-                max_moves=config.pop("max_moves", 10_000),
-                time_limit=config.pop("time_limit", 120.0),
-                rng_seed=config.pop("rng_seed", 42),
-            )
+            cfg = BahConfig(**{opt: config.pop(opt)
+                               for opt in ("max_moves", "time_limit", "rng_seed")
+                               if opt in config})
         _reject_extra(config)
         return lambda g, t: match_bah(g, t, cfg)
     if key == "bmc":
@@ -562,16 +558,15 @@ def write_matching(
     config: str = "",
     wall_time: float | None = None,
 ) -> None:
-    lookup = graph.pair_weights()
+    pairs = list(matching)
     with open_text(path, "w") as fh:
         fh.write(f"# algorithm: {algorithm}\n")
         fh.write(f"# threshold: {threshold!r}\n")
         fh.write(f"# config: {config}\n")
         if wall_time is not None:
             fh.write(f"# wall_time_s: {wall_time:.6f}\n")
-        for l, r in matching:
-            fh.write(f"{graph.left_ids[l]}\t{graph.right_ids[r]}\t"
-                     f"{lookup[(l, r)]!r}\n")
+        for (l, r), w in zip(pairs, graph._weights_of(pairs)):
+            fh.write(f"{graph.left_ids[l]}\t{graph.right_ids[r]}\t{w!r}\n")
 
 
 def read_matching(path) -> tuple[list[tuple[str, str, float]], dict[str, str]]:

@@ -12,9 +12,10 @@ def g_ref() -> SimilarityGraph:
 
 
 def make_random_graph(rng: random.Random, max_side: int = 20,
-                      density: float = 0.4, *, weight_grid: int | None = None
-                      ) -> SimilarityGraph:
-    """Random bipartite graph; weight_grid snaps weights to k levels to force ties."""
+                      density: float = 0.4, *, weight_grid: int | None = None,
+                      spare: int = 0) -> SimilarityGraph:
+    """Random bipartite graph; weight_grid snaps weights to k levels to force
+    ties, and each side gets up to ``spare`` extra isolated nodes."""
     n1 = rng.randint(1, max_side)
     n2 = rng.randint(1, max_side)
     edges = []
@@ -25,4 +26,7 @@ def make_random_graph(rng: random.Random, max_side: int = 20,
                 if weight_grid:
                     w = round(w * weight_grid) / weight_grid
                 edges.append((i, j, w))
+    if spare:
+        n1 += rng.randint(0, spare)
+        n2 += rng.randint(0, spare)
     return SimilarityGraph(n1, n2, edges)

@@ -151,6 +151,75 @@ def rippling_reference(n1: int, n2: int,
     return result
 
 
+def best_match_reference(n1: int, n2: int,
+                         edges: list[tuple[int, int, float]],
+                         threshold: float, basis_left: bool
+                         ) -> set[tuple[int, int]]:
+    """Straight-line restatement of best match clustering.
+
+    Basis nodes in ascending index order each take the heaviest edge to a
+    counterpart nobody has taken yet, ties to the smallest counterpart
+    index; found by a full scan of the kept edges per basis node.
+    """
+    kept = [(l, r, w) for l, r, w in edges if w >= threshold]
+    taken: set[int] = set()
+    result = set()
+    for node in range(n1 if basis_left else n2):
+        options = []
+        for l, r, w in kept:
+            mine, other = (l, r) if basis_left else (r, l)
+            if mine == node and other not in taken:
+                options.append((-w, other))
+        if options:
+            _, other = min(options)
+            taken.add(other)
+            result.add((node, other) if basis_left else (other, node))
+    return result
+
+
+def kiraly_reference(n1: int, edges: list[tuple[int, int, float]],
+                     threshold: float) -> set[tuple[int, int]]:
+    """Straight-line restatement of the proposal matcher with one second
+    chance per left node.
+
+    Preference lists hold the kept edges, heaviest first, ties to the
+    smaller right index.  A FIFO queue of free left nodes proposes; a right
+    node switches to a heavier proposal, or to an equal one when its
+    partner is on a second chance and the proposer is not.
+    """
+    prefs: dict[int, list[tuple[int, float]]] = {}
+    for l, r, w in edges:
+        if w >= threshold:
+            prefs.setdefault(l, []).append((r, w))
+    for lst in prefs.values():
+        lst.sort(key=lambda item: (-item[1], item[0]))
+    queue = [l for l in range(n1) if l in prefs]
+    next_choice = {l: 0 for l in prefs}
+    on_second = set()
+    engaged: dict[int, tuple[int, float]] = {}  # right -> (left, weight)
+    while queue:
+        man = queue.pop(0)
+        if next_choice[man] == len(prefs[man]):
+            if man not in on_second:
+                on_second.add(man)
+                next_choice[man] = 0
+                queue.append(man)
+            continue
+        woman, w = prefs[man][next_choice[man]]
+        next_choice[man] += 1
+        if woman not in engaged:
+            engaged[woman] = (man, w)
+            continue
+        incumbent, current = engaged[woman]
+        if w > current or (w == current and incumbent in on_second
+                           and man not in on_second):
+            engaged[woman] = (man, w)
+            queue.append(incumbent)
+        else:
+            queue.append(man)
+    return {(man, woman) for woman, (man, _) in engaged.items()}
+
+
 def friedman_permutation_pvalue(matrix: np.ndarray, statistic_fn,
                                 n_permutations: int = 2000,
                                 seed: int = 7) -> float:

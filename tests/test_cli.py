@@ -350,6 +350,14 @@ class TestUsage:
         assert main(["sweep", "--graph", str(graph), "--gt", str(gt),
                      "--algorithm", "umc", "--fast"]) == 1
 
+    def test_bah_defaults_come_from_bah_config(self):
+        from erbimatch.cli import _matcher_config, build_parser
+        from erbimatch.matchers import BahConfig
+
+        args = build_parser().parse_args(
+            ["sweep", "--graph", "g.tsv", "--gt", "gt.tsv", "--algorithm", "bah"])
+        assert BahConfig(**_matcher_config(args)) == BahConfig()
+
     def test_workers_env_override(self, monkeypatch):
         from erbimatch.cli import _default_workers
 

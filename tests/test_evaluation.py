@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from erbimatch import Matching, SimilarityGraph
+from erbimatch import Matching
 from erbimatch.evaluation import (
     DEFAULT_GRID,
     GroundTruth,
@@ -128,10 +128,7 @@ def _sweep_case(rng):
     truth that names ids absent from the graph, and an unsorted grid with
     duplicates and both ends of [0, 1]."""
     g = make_random_graph(rng, max_side=9, density=0.5,
-                          weight_grid=rng.choice([None, 2, 4, 20]))
-    g = SimilarityGraph.from_arrays(g.left_count + rng.randint(0, 2),
-                                    g.right_count + rng.randint(0, 2),
-                                    g.lefts, g.rights, g.weights)
+                          weight_grid=rng.choice([None, 2, 4, 20]), spare=2)
     rights = list(g.right_ids) + ["absent-right"]
     rng.shuffle(rights)
     pairs = [(l, r) for l, r in zip(g.left_ids + ("absent-left",), rights)

@@ -239,6 +239,27 @@ class TestMatching:
         m = Matching([(4, 0), (1, 1)])  # A5-B1, A2-B2
         assert m.total_weight(g_ref) == pytest.approx(1.7)
 
+    def test_total_weight_counts_non_edges_as_zero(self):
+        g = SimilarityGraph(3, 3, [(0, 0, 0.5), (1, 2, 0.25), (2, 1, 0.75)])
+        assert Matching([(0, 0), (1, 2), (2, 1)]).total_weight(g) == 1.5
+        assert Matching([(0, 0), (1, 1), (2, 2)]).total_weight(g) == 0.5
+        assert g._weights_of([(2, 1), (0, 1), (1, 2)]) == [0.75, 0.0, 0.25]
+        assert g._weights_of([]) == []
+        for outside in ([(-1, 2)], [(0, -1)], [(3, 0)], [(0, 3)]):
+            with pytest.raises(ValueError, match="outside the graph"):
+                Matching(outside).total_weight(g)
+
+    def test_weights_of_equals_pair_weights(self):
+        rng = random.Random(17)
+        for _ in range(50):
+            g = make_random_graph(rng, max_side=8, density=0.5, weight_grid=3,
+                                  spare=2)
+            lefts = rng.sample(range(g.left_count), g.left_count)
+            rights = rng.sample(range(g.right_count), g.right_count)
+            pairs = list(zip(lefts, rights))
+            lookup = g.pair_weights()
+            assert g._weights_of(pairs) == [lookup.get(p, 0.0) for p in pairs]
+
     def test_partner_lookup(self):
         m = Matching([(0, 3), (2, 1)])
         assert m.left_partner(0) == 3

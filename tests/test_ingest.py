@@ -197,6 +197,13 @@ class TestQualityFilter:
         assert not flags.noisy
         assert not flags.all_matches_zero_weight
 
+    def test_ids_absent_from_the_graph_carry_no_weight(self):
+        g = reference_graph()
+        absent = GroundTruth([("ghost", "B1"), ("A1", "phantom")])
+        assert quality_filter(g, absent, {}).all_matches_zero_weight
+        mixed = GroundTruth([("ghost", "B2"), ("A1", "B1")])
+        assert not quality_filter(g, mixed, {}).all_matches_zero_weight
+
     def test_duplicate_detection(self):
         g = reference_graph()
         gt = GroundTruth(REFERENCE_TRUE_PAIRS)

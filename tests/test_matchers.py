@@ -24,7 +24,13 @@ from erbimatch.graph import Side
 from erbimatch.matchers import ALGORITHMS, get_matcher, rca_passes
 
 from conftest import make_random_graph
-from oracles import best_matching_value, mutual_best_pairs, rippling_reference
+from oracles import (
+    best_match_reference,
+    best_matching_value,
+    kiraly_reference,
+    mutual_best_pairs,
+    rippling_reference,
+)
 
 FIG_D_PAIRS = {("A5", "B1"), ("A2", "B2"), ("A3", "B4")}
 OPTIMAL_PAIRS = {("A1", "B1"), ("A5", "B3"), ("A2", "B2"), ("A3", "B4")}
@@ -152,6 +158,19 @@ class TestBah:
             match_bah(g, 0.1, BahConfig(max_moves=400, rng_seed=1), value_trace=trace)
             assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
+    def test_unset_options_keep_config_defaults(self, monkeypatch):
+        import erbimatch.matchers as matchers
+
+        seen = []
+        monkeypatch.setattr(matchers, "match_bah",
+                            lambda g, t, cfg: seen.append(cfg))
+        get_matcher("bah", max_moves=5)(None, 0.5)
+        get_matcher("bah", rng_seed=7, time_limit=2.0)(None, 0.5)
+        assert seen == [BahConfig(max_moves=5),
+                        BahConfig(rng_seed=7, time_limit=2.0)]
+        with pytest.raises(ValueError, match="unexpected matcher options"):
+            get_matcher("bah", max_moves=5, seed=1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BahConfig(max_moves=-1)
@@ -174,6 +193,31 @@ class TestBmc:
     def test_auto_uses_smaller_side(self, g_ref):
         # right side is smaller (4 < 5), so AUTO must equal RIGHT here
         assert match_bmc(g_ref, 0.5, Basis.AUTO) == match_bmc(g_ref, 0.5, Basis.RIGHT)
+
+    @pytest.mark.parametrize("grid", [None, 4])
+    def test_matches_straight_line_reference(self, grid):
+        rng = random.Random(61 if grid else 60)
+        for _ in range(100):
+            g = make_random_graph(rng, max_side=7, density=0.5,
+                                  weight_grid=grid, spare=2)
+            for t in (0.0, 0.3, 0.5):
+                for basis in (Basis.LEFT, Basis.RIGHT):
+                    want = best_match_reference(
+                        g.left_count, g.right_count, g.edge_list(), t,
+                        basis is Basis.LEFT)
+                    assert match_bmc(g, t, basis).pairs == want
+
+    @pytest.mark.parametrize("grid", [None, 4])
+    def test_basis_pass_is_rca_pass(self, grid):
+        # weights are >= 0, so t = 0 prunes nothing and bmc from each basis
+        # is the rca pass from that side
+        rng = random.Random(63 if grid else 62)
+        for _ in range(60):
+            g = make_random_graph(rng, max_side=8, density=0.5,
+                                  weight_grid=grid, spare=2)
+            pairs_r, _, pairs_c, _ = rca_passes(g)
+            assert set(pairs_r) == match_bmc(g, 0.0, Basis.LEFT).pairs
+            assert set(pairs_c) == match_bmc(g, 0.0, Basis.RIGHT).pairs
 
 
 class TestExc:
@@ -224,6 +268,16 @@ class TestKrc:
             g = SimilarityGraph(n, n, [(i, perm[i], 0.5 + 0.4 * rng.random())
                                        for i in range(n)])
             assert match_krc(g, 0.3).pairs == {(i, perm[i]) for i in range(n)}
+
+    @pytest.mark.parametrize("grid", [None, 4])
+    def test_matches_straight_line_reference(self, grid):
+        rng = random.Random(43 if grid else 42)
+        for _ in range(100):
+            g = make_random_graph(rng, max_side=7, density=0.5,
+                                  weight_grid=grid, spare=2)
+            for t in (0.0, 0.3, 0.5):
+                assert match_krc(g, t).pairs == kiraly_reference(
+                    g.left_count, g.edge_list(), t)
 
     def test_maximal_no_free_cross_edge(self):
         rng = random.Random(41)
