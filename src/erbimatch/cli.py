@@ -51,8 +51,7 @@ DATA_ENV = "ERBIMATCH_DATA"
 
 
 class _UsageExit(Exception):
-    def __init__(self, message):
-        super().__init__(message)
+    """A usage error: the CLI exits 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,11 +172,7 @@ def _matcher_config(args) -> dict:
 
 
 def _matcher_config_echo(args) -> dict:
-    echo = {"algorithm": args.algorithm}
-    echo.update(_matcher_config(args))
-    if "basis" in echo:
-        echo["basis"] = str(echo["basis"])
-    return echo
+    return {"algorithm": args.algorithm, **_matcher_config(args)}
 
 
 # ----------------------------------------------------------------------

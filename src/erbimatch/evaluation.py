@@ -21,7 +21,7 @@ import math
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -97,20 +97,11 @@ class PrfScore:
     gt_pairs: int
 
     def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-            "true_positives": self.true_positives,
-            "output_pairs": self.output_pairs,
-            "gt_pairs": self.gt_pairs,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PrfScore":
-        return cls(**{k: data[k] for k in (
-            "precision", "recall", "f_measure", "true_positives",
-            "output_pairs", "gt_pairs")})
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def _score(tp: int, output: int, gt: int) -> PrfScore:

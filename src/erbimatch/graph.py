@@ -17,13 +17,17 @@ appears twice (the unique mapping constraint of clean-clean resolution).
 from __future__ import annotations
 
 import enum
+import json
+import logging
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, count, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError, EmptyGraphError
-from .fileio import open_text
+from .fileio import open_text, read_records, write_header, write_records
 
 __all__ = [
     "Side",
@@ -36,6 +40,8 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 class Side(enum.Enum):
@@ -131,10 +137,7 @@ class SimilarityGraph:
         "lefts",
         "rights",
         "weights",
-        "_left_starts",
-        "_left_order",
-        "_right_starts",
-        "_right_order",
+        "_groups",
     )
 
     def __init__(
@@ -146,12 +149,9 @@ class SimilarityGraph:
         left_ids: Sequence[str] | None = None,
         right_ids: Sequence[str] | None = None,
     ):
-        triples = [] if edges is None else list(edges)
+        columns = list(zip(*(() if edges is None else edges))) or [(), (), ()]
         self._init(left_count, right_count,
-                   *_canonical_edges(left_count, right_count,
-                                     [e[0] for e in triples],
-                                     [e[1] for e in triples],
-                                     [e[2] for e in triples]),
+                   *_canonical_edges(left_count, right_count, *columns),
                    left_ids, right_ids)
 
     @classmethod
@@ -183,10 +183,7 @@ class SimilarityGraph:
         self.weights = weights
         self.left_ids = self._make_ids(left_ids, left_count, "L")
         self.right_ids = self._make_ids(right_ids, right_count, "R")
-        self._left_starts = None
-        self._left_order = None
-        self._right_starts = None
-        self._right_order = None
+        self._groups = {}  # side -> (order, starts), see _adjacency
 
     @staticmethod
     def _make_ids(ids, count, prefix) -> tuple[str, ...]:
@@ -220,10 +217,9 @@ class SimilarityGraph:
 
     def edge_records(self) -> list[tuple[str, str, float]]:
         """All edges as ``(left_id, right_id, weight)`` in canonical order."""
-        return [
-            (self.left_ids[l], self.right_ids[r], w)
-            for l, r, w in self.edge_list()
-        ]
+        return list(zip(map(self.left_ids.__getitem__, self.lefts.tolist()),
+                        map(self.right_ids.__getitem__, self.rights.tolist()),
+                        self.weights.tolist()))
 
     def pair_weights(self) -> dict[tuple[int, int], float]:
         """A ``(left, right) -> weight`` lookup table, built on each call."""
@@ -249,21 +245,13 @@ class SimilarityGraph:
     def _adjacency(self, side: Side):
         # Group canonical edge positions by endpoint.  A stable sort keeps
         # the canonical (descending weight) order inside each group.
-        if side is Side.LEFT:
-            if self._left_starts is None:
-                order = np.argsort(self.lefts, kind="stable")
-                keys = self.lefts[order]
-                starts = np.searchsorted(keys, np.arange(self.left_count + 1))
-                self._left_order = order
-                self._left_starts = starts
-            return self._left_order, self._left_starts
-        if self._right_starts is None:
-            order = np.argsort(self.rights, kind="stable")
-            keys = self.rights[order]
-            starts = np.searchsorted(keys, np.arange(self.right_count + 1))
-            self._right_order = order
-            self._right_starts = starts
-        return self._right_order, self._right_starts
+        if side not in self._groups:
+            ends, size = ((self.lefts, self.left_count) if side is Side.LEFT
+                          else (self.rights, self.right_count))
+            order = np.argsort(ends, kind="stable")
+            self._groups[side] = order, np.searchsorted(ends[order],
+                                                        np.arange(size + 1))
+        return self._groups[side]
 
     def neighbors(self, side: Side, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Adjacent opposite-side indices and weights, best first.
@@ -441,49 +429,54 @@ def connected_components(graph: SimilarityGraph) -> list[set[NodeRef]]:
 
 
 # ----------------------------------------------------------------------
-# edge-list files: one `left_id<TAB>right_id<TAB>weight` per line, UTF-8,
-# `#` starts a comment line.  Node-ID tables are inferred from the file in
-# first-appearance order.
+# edge-list files (the format is described in `fileio`)
 
 def write_edge_list(graph: SimilarityGraph, path, *, comments: Sequence[str] = ()) -> None:
     with open_text(path, "w") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        for left_id, right_id, weight in graph.edge_records():
-            fh.write(f"{left_id}\t{right_id}\t{weight!r}\n")
+        write_header(fh, {"left_ids": json.dumps(graph.left_ids),
+                          "right_ids": json.dumps(graph.right_ids)}, comments)
+        write_records(fh, graph.edge_records())
+
+
+def _node_index(header: dict[str, str], key: str, path) -> dict[str, int]:
+    """The id -> index table in header field ``key``; without that field, a
+    table that numbers ids in order of first appearance."""
+    if key not in header:
+        logger.warning("%s has no %s table; it is inferred from the edges, "
+                       "without isolated nodes", path, key)
+        return defaultdict(count().__next__)
+    try:
+        ids = json.loads(header[key])
+        if (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                and len(set(ids)) == len(ids)):
+            return {node_id: i for i, node_id in enumerate(ids)}
+    except ValueError:
+        pass
+    raise DataFormatError(f"{key} is not a JSON array of distinct strings",
+                          path=path)
 
 
 def read_edge_list(path) -> SimilarityGraph:
-    left_index: dict[str, int] = {}
-    right_index: dict[str, int] = {}
-    lefts: list[int] = []
-    rights: list[int] = []
-    weights: list[float] = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(
-                    f"expected 3 tab-separated fields, got {len(parts)}",
-                    path=path, line=lineno,
-                )
-            left_id, right_id, weight_text = parts
-            try:
-                weight = float(weight_text)
-            except ValueError:
-                raise DataFormatError(
-                    f"bad weight {weight_text!r}", path=path, line=lineno
-                ) from None
-            lefts.append(left_index.setdefault(left_id, len(left_index)))
-            rights.append(right_index.setdefault(right_id, len(right_index)))
-            weights.append(weight)
+    header: dict[str, str] = {}
+    records = read_records(path, 3, header)
+    first = list(islice(records, 1))  # the header precedes the first edge
+    left_index, right_index = (_node_index(header, key, path)
+                               for key in ("left_ids", "right_ids"))
+    lefts, rights, weights = [], [], []
+    for lineno, (left_id, right_id, weight) in chain(first, records):
+        try:
+            lefts.append(left_index[left_id])
+            rights.append(right_index[right_id])
+            weights.append(float(weight))
+        except KeyError as exc:
+            raise DataFormatError(f"id {exc.args[0]!r} is not in the node "
+                                  "tables", path=path, line=lineno) from None
+        except ValueError:
+            raise DataFormatError(f"bad weight {weight!r}", path=path,
+                                  line=lineno) from None
     try:
         return SimilarityGraph.from_arrays(
             len(left_index), len(right_index), lefts, rights, weights,
-            left_ids=list(left_index), right_ids=list(right_index),
-        )
+            left_ids=list(left_index), right_ids=list(right_index))
     except ValueError as exc:
         raise DataFormatError(str(exc), path=path) from None

@@ -6,7 +6,7 @@ File formats (UTF-8 text, ``.gz`` transparently decompressed):
   every other column one attribute; empty cells are missing values.
 * profiles JSONL -- one ``{"id": ..., "attrs": {name: [values]}}`` object
   per line (a bare string value is accepted as a single-value list).
-* ground truth  -- two tab-separated external ids per line.
+* ground truth  -- two tab-separated external ids per line (see fileio).
 * embeddings    -- ``entity_id<TAB>dim1 dim2 ... dimK``, constant K.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .evaluation import GroundTruth, SweepResult, _true_index_pairs
-from .fileio import open_text
+from .fileio import open_text, read_records, write_records
 from .graph import SimilarityGraph
 from .profiles import EntityProfile, ProfileCollection
 
@@ -156,28 +156,15 @@ def write_profiles(collection: ProfileCollection, path,
 
 def read_ground_truth(path) -> GroundTruth:
     """Two tab-separated ids per line; repeated side ids are an error."""
-    pairs = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(
-                    f"expected 2 tab-separated ids, got {len(parts)}",
-                    path=path, line=lineno)
-            pairs.append((parts[0], parts[1]))
     try:
-        return GroundTruth(pairs)
+        return GroundTruth(ids for _, ids in read_records(path, 2))
     except ValueError as exc:
         raise DataFormatError(str(exc), path=path) from None
 
 
 def write_ground_truth(gt: GroundTruth, path) -> None:
     with open_text(path, "w") as fh:
-        for l, r in gt:
-            fh.write(f"{l}\t{r}\n")
+        write_records(fh, gt)
 
 
 def read_embeddings(path) -> dict[str, np.ndarray]:

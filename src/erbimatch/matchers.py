@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fileio import open_text
+from .fileio import open_text, read_records, write_header, write_records
 from .errors import DataFormatError
 from .graph import Matching, Side, SimilarityGraph
 
@@ -545,50 +545,30 @@ def _reject_extra(config: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# matching files: `left_id<TAB>right_id<TAB>weight` rows preceded by header
-# comments recording algorithm, threshold, config and wall time.
+# matching files (the format is described in `fileio`)
 
-def write_matching(
-    matching: Matching,
-    graph: SimilarityGraph,
-    path,
-    *,
-    algorithm: str,
-    threshold: float,
-    config: str = "",
-    wall_time: float | None = None,
-) -> None:
+def write_matching(matching: Matching, graph: SimilarityGraph, path, *,
+                   algorithm: str, threshold: float, config: str = "",
+                   wall_time: float | None = None) -> None:
     pairs = list(matching)
+    fields = {"algorithm": algorithm, "threshold": repr(threshold),
+              "config": config}
+    if wall_time is not None:
+        fields["wall_time_s"] = f"{wall_time:.6f}"
     with open_text(path, "w") as fh:
-        fh.write(f"# algorithm: {algorithm}\n")
-        fh.write(f"# threshold: {threshold!r}\n")
-        fh.write(f"# config: {config}\n")
-        if wall_time is not None:
-            fh.write(f"# wall_time_s: {wall_time:.6f}\n")
-        for (l, r), w in zip(pairs, graph._weights_of(pairs)):
-            fh.write(f"{graph.left_ids[l]}\t{graph.right_ids[r]}\t{w!r}\n")
+        write_header(fh, fields)
+        write_records(fh, ((graph.left_ids[l], graph.right_ids[r], w) for
+                           (l, r), w in zip(pairs, graph._weights_of(pairs))))
 
 
 def read_matching(path) -> tuple[list[tuple[str, str, float]], dict[str, str]]:
     """Parse a matching file into id-pair records plus its header fields."""
     header: dict[str, str] = {}
     records: list[tuple[str, str, float]] = []
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, value = body.split(":", 1)
-                    header[key.strip()] = value.strip()
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(
-                    f"expected 3 tab-separated fields, got {len(parts)}",
-                    path=path, line=lineno,
-                )
-            records.append((parts[0], parts[1], float(parts[2])))
+    for lineno, (left_id, right_id, weight) in read_records(path, 3, header):
+        try:
+            records.append((left_id, right_id, float(weight)))
+        except ValueError:
+            raise DataFormatError(f"bad weight {weight!r}", path=path,
+                                  line=lineno) from None
     return records, header

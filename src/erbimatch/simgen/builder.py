@@ -48,15 +48,15 @@ from .ngram_graphs import GRAPH_MEASURES, build_ngram_graph, graph_similarity
 from .strings import EDIT_MEASURES, edit_similarity
 from .text import GramUnit, tokenize
 from .tokens import TOKEN_MEASURES, token_set_similarity
-from .vectors import VECTOR_MEASURES, vector_similarity
+from .vectors import VECTOR_MEASURES
 
 __all__ = ["SimFnConfig", "build_similarity_graph", "model_coverage"]
 
 logger = logging.getLogger(__name__)
 
-# measures whose raw form is (or may be) asymmetric; the builder compares
-# both directions and keeps the larger value
-_SYMMETRIZED = {"containment", "monge_elkan", "overlap"}
+# measures whose raw form is asymmetric; the builder keeps the larger value
+# of both directions (containment and overlap are symmetric already)
+_SYMMETRIZED = {"monge_elkan"}
 
 _MODELS = ("raw_string", "bag", "graph", "vector")
 
@@ -149,18 +149,15 @@ def _representations(collection: ProfileCollection, cfg: SimFnConfig,
 
 
 def _make_scorer(cfg: SimFnConfig, stats_left, stats_right):
-    if cfg.model == "raw_string":
-        if cfg.measure in EDIT_MEASURES:
-            base = lambda a, b: edit_similarity(cfg.measure, a, b)
-        else:
-            base = lambda a, b: token_set_similarity(cfg.measure, a, b)
+    if cfg.model == "raw_string" and cfg.measure in EDIT_MEASURES:
+        base = lambda a, b: edit_similarity(cfg.measure, a, b)
+    elif cfg.model == "raw_string":
+        base = lambda a, b: token_set_similarity(cfg.measure, a, b)
     elif cfg.model == "bag":
         base = lambda a, b: bag_similarity(cfg.measure, a, b,
                                            stats_left, stats_right)
-    elif cfg.model == "graph":
+    else:  # graph; the vector model is scored by _vector_edges
         base = lambda a, b: graph_similarity(cfg.measure, a, b)
-    else:
-        base = lambda a, b: vector_similarity(cfg.measure, a, b)
     if cfg.measure in _SYMMETRIZED:
         return lambda a, b: max(base(a, b), base(b, a))
     return base

@@ -30,3 +30,12 @@ def make_random_graph(rng: random.Random, max_side: int = 20,
         n1 += rng.randint(0, spare)
         n2 += rng.randint(0, spare)
     return SimilarityGraph(n1, n2, edges)
+
+
+def assert_same_graph(a: SimilarityGraph, b: SimilarityGraph) -> None:
+    """Equal partition sizes, id tables and edge arrays, bit for bit."""
+    assert (a.left_count, a.right_count) == (b.left_count, b.right_count)
+    assert (a.left_ids, a.right_ids) == (b.left_ids, b.right_ids)
+    for x, y in ((a.lefts, b.lefts), (a.rights, b.rights),
+                 (a.weights, b.weights)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()

@@ -202,6 +202,23 @@ class TestBuilder:
             for pair, w in fwd.items():
                 assert w == pytest.approx(rev[pair])
 
+    def test_containment_and_overlap_are_exactly_symmetric(self):
+        # why the builder scores them in one direction only
+        from erbimatch.simgen import graph_similarity, token_set_similarity
+        from erbimatch.simgen.ngram_graphs import value_ngram_graph
+
+        rng = random.Random(5)
+        vocab = ["ab", "cd", "abc", "dab", "e"]
+        for _ in range(300):
+            a, b = (" ".join(rng.choices(vocab, k=rng.randint(1, 6)))
+                    for _ in range(2))
+            ta, tb = Counter(tokenize(a)), Counter(tokenize(b))
+            assert (token_set_similarity("overlap", ta, tb)
+                    == token_set_similarity("overlap", tb, ta))
+            ga, gb = (value_ngram_graph(v, GramUnit.CHARACTER, 2) for v in (a, b))
+            assert (graph_similarity("containment", ga, gb)
+                    == graph_similarity("containment", gb, ga))
+
     def test_all_weights_in_unit_interval(self):
         cfg = SimFnConfig(model="bag", measure="arcs", unit=GramUnit.CHARACTER,
                           n=2, scheme=WeightScheme.TFIDF)

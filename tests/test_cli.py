@@ -11,11 +11,12 @@ from erbimatch.evaluation import (
     threshold_sweep,
 )
 from erbimatch.graph import read_edge_list, write_edge_list
-from erbimatch.ingest import read_ground_truth, write_ground_truth
-from erbimatch.matchers import ALGORITHMS, get_matcher
+from erbimatch.ingest import read_ground_truth, read_profiles, write_ground_truth
+from erbimatch.matchers import ALGORITHMS, get_matcher, read_matching
 from erbimatch.reference import REFERENCE_TRUE_PAIRS, reference_graph
+from erbimatch.simgen import SimFnConfig, build_similarity_graph
 
-from conftest import make_random_graph
+from conftest import assert_same_graph, make_random_graph
 
 
 @pytest.fixture
@@ -133,6 +134,31 @@ def test_sweep_report_equals_per_threshold_loop(tied_files, tmp_path, name,
     emit_report(sweep_report(loop, algorithm=name, config=config,
                              dataset=graph_path.name), expected, fmt)
     assert report.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_build_graph_then_match_equals_library(tmp_path, name):
+    """The CLI hand-off through an edge-list file gives the library's graph
+    and matchings, on a catalog with tied weights and profiles that have no
+    content (isolated nodes)."""
+    left, right = tmp_path / "left.csv", tmp_path / "right.csv"
+    left.write_text("id,name\na1,green apple\na2,\na3,green apple\n"
+                    "a4,red apple pie\na5,apple\n", encoding="utf-8")
+    right.write_text("id,name\nb1,green apple\nb2,\nb3,apple\n"
+                     "b4,green apple\nb5,red pie\n", encoding="utf-8")
+    graph_path, match_path = tmp_path / "g.tsv", tmp_path / "m.tsv"
+    assert main(["build-graph", "--left", str(left), "--right", str(right),
+                 "--model", "bag", "--measure", "cosine", "--workers", "1",
+                 "--output", str(graph_path)]) == 0
+    graph = build_similarity_graph(read_profiles(left), read_profiles(right),
+                                   SimFnConfig(model="bag", measure="cosine"))
+    assert_same_graph(read_edge_list(graph_path), graph)
+    for t in (0.0, 0.5):
+        assert main(["match", "--graph", str(graph_path), "--algorithm", name,
+                     "--threshold", repr(t), "--output", str(match_path)]) == 0
+        records, _ = read_matching(match_path)
+        assert ({(l, r) for l, r, _ in records}
+                == get_matcher(name)(graph, t).id_pairs(graph))
 
 
 class TestMatchCommand:
@@ -312,6 +338,9 @@ BAD_INPUTS = {
     "nan-weight": ("match", "A1\tB1\tnan\n", [], 2),
     "duplicate-edge": ("match", "A1\tB1\t0.5\nA1\tB1\t0.4\n", [], 2),
     "malformed-line": ("sweep", "A1\tB1\n", [], 2),
+    "unknown-id": ("match", '# left_ids: ["A1"]\n# right_ids: ["B1"]\n'
+                   "A1\tB1\t0.5\nA1\tB2\t0.4\n", [], 2),
+    "bad-node-table": ("sweep", "# left_ids: A1 A2\nA1\tB1\t0.5\n", [], 2),
     "zero-repetitions": ("bench", "A1\tB1\t0.5\n", ["--repetitions", "0"], 1),
     "negative-repetitions": ("bench", "A1\tB1\t0.5\n",
                              ["--repetitions", "-2"], 1),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erbimatch import (
+    DataFormatError,
     EmptyGraphError,
     Matching,
     NodeRef,
@@ -18,7 +19,7 @@ from erbimatch import (
     write_edge_list,
 )
 
-from conftest import make_random_graph
+from conftest import assert_same_graph, make_random_graph
 from oracles import canonical_edge_order
 
 
@@ -273,14 +274,57 @@ class TestEdgeListIO:
         path = tmp_path / "graph.tsv"
         write_edge_list(g_ref, path, comments=["demo graph"])
         back = read_edge_list(path)
-        assert set(back.edge_records()) == set(g_ref.edge_records())
-        # node tables are inferred from the edges, so the isolated A4 is gone
-        assert back.left_count == 4 and back.right_count == 4
+        # the node tables travel in the header, so the isolated A4 survives
+        assert_same_graph(back, g_ref)
+        assert back.left_count == 5
 
     def test_gzip_round_trip(self, g_ref, tmp_path):
         path = tmp_path / "graph.tsv.gz"
         write_edge_list(g_ref, path)
-        assert set(read_edge_list(path).edge_records()) == set(g_ref.edge_records())
+        assert_same_graph(read_edge_list(path), g_ref)
+
+    @pytest.mark.parametrize("left_ids, right_ids, edges", [
+        ((), ("b", "c"), []),
+        (("", " a", "a ", " ", " #d"), ("", "#b", " c "),
+         [(0, 0, 0.5), (1, 2, 0.25), (3, 1, 0.5), (2, 0, 1.0), (4, 1, 0.75)]),
+        (("é\u00a0x", "[1]", "\"q\""), ("r: s", "t\\u"), [(2, 1, 1e-300)]),
+    ], ids=["empty-partition", "blank-and-spaced-ids", "escapes"])
+    @pytest.mark.parametrize("name", ["g.tsv", "g.tsv.gz"])
+    def test_node_tables_round_trip_exactly(self, tmp_path, name, left_ids,
+                                            right_ids, edges):
+        g = SimilarityGraph(len(left_ids), len(right_ids), edges,
+                            left_ids=left_ids, right_ids=right_ids)
+        write_edge_list(g, tmp_path / name)
+        assert_same_graph(read_edge_list(tmp_path / name), g)
+
+    def test_file_without_tables_falls_back_with_a_warning(self, tmp_path,
+                                                           caplog):
+        path = tmp_path / "old.tsv"
+        path.write_text("# written by hand\n\nA2\tB1\t0.5\nA1\tB1\t0.9\n"
+                        "A1\tB2\t0.5\n", encoding="utf-8")
+        with caplog.at_level("WARNING", logger="erbimatch.graph"):
+            g = read_edge_list(path)
+        assert "left_ids" in caplog.text and "right_ids" in caplog.text
+        # first appearance in the file, not in the canonical order
+        assert g.left_ids == ("A2", "A1") and g.right_ids == ("B1", "B2")
+        assert g.edge_records() == [("A1", "B1", 0.9), ("A2", "B1", 0.5),
+                                    ("A1", "B2", 0.5)]
+
+    def test_id_missing_from_the_tables_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text('# left_ids: ["A1"]\n# right_ids: ["B1"]\n'
+                        "A1\tB1\t0.5\nA1\tB2\t0.4\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"line 4: id 'B2'"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("table", ['["A1", "A1"]', "A1 A2", '[1, 2]',
+                                       '{"A1": 0}'])
+    def test_bad_node_table_is_a_format_error(self, tmp_path, table):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f'# left_ids: {table}\n# right_ids: ["B1"]\n',
+                        encoding="utf-8")
+        with pytest.raises(DataFormatError, match="left_ids"):
+            read_edge_list(path)
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -124,6 +124,17 @@ class TestGroundTruthIO:
         path.write_text("", encoding="utf-8")
         assert len(read_ground_truth(path)) == 0
 
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        path.write_text("# pairs: 2\n\na\tx\n \n b\ty \n", encoding="utf-8")
+        assert read_ground_truth(path).pairs == {("a", "x"), (" b", "y ")}
+
+    def test_malformed_line_reports_number(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        path.write_text("a\tx\n# comment\nb\ty\tz\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 3: expected 2"):
+            read_ground_truth(path)
+
     def test_one_to_one_violation(self, tmp_path):
         path = tmp_path / "gt.tsv"
         path.write_text("a\tx\na\ty\n", encoding="utf-8")

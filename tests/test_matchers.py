@@ -6,6 +6,7 @@ import pytest
 from erbimatch import (
     BahConfig,
     Basis,
+    DataFormatError,
     SimilarityGraph,
     connected_components,
     match_bah,
@@ -17,13 +18,15 @@ from erbimatch import (
     match_rsr,
     match_umc,
     prune_edges,
+    read_edge_list,
     read_matching,
+    write_edge_list,
     write_matching,
 )
 from erbimatch.graph import Side
 from erbimatch.matchers import ALGORITHMS, get_matcher, rca_passes
 
-from conftest import make_random_graph
+from conftest import assert_same_graph, make_random_graph
 from oracles import (
     best_match_reference,
     best_matching_value,
@@ -350,3 +353,38 @@ class TestMatchingFile:
         assert header["algorithm"] == "umc"
         assert float(header["threshold"]) == 0.5
         assert "wall_time_s" in header
+
+    def test_non_numeric_weight_is_a_format_error(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("# algorithm: umc\nA1\tB1\t0.5\nA2\tB2\theavy\n",
+                        encoding="utf-8")
+        with pytest.raises(DataFormatError,
+                           match=r"m\.tsv: line 3: bad weight 'heavy'"):
+            read_matching(path)
+
+    def test_ids_round_trip_verbatim(self, tmp_path):
+        g = SimilarityGraph(2, 2, [(0, 1, 0.5), (1, 0, 0.25)],
+                            left_ids=("", " a "), right_ids=("#b", "c "))
+        path = tmp_path / "m.tsv.gz"
+        write_matching(match_umc(g, 0.0), g, path, algorithm="umc",
+                       threshold=0.0)
+        records, header = read_matching(path)
+        assert records == [("", "c ", 0.5), (" a ", "#b", 0.25)]
+        assert header == {"algorithm": "umc", "threshold": "0.0", "config": ""}
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_edge_list_round_trip_keeps_every_matching(tmp_path, name):
+    """Writing and reading a tied graph with isolated nodes, plain or
+    gzipped, gives the same graph, so every matcher's id pairs agree."""
+    rng = random.Random(29)
+    matcher = get_matcher(name, **({"max_moves": 500} if name == "bah" else {}))
+    for _ in range(60):
+        g = make_random_graph(rng, max_side=12, density=0.4, weight_grid=4,
+                              spare=2)
+        for path in (tmp_path / "g.tsv", tmp_path / "g.tsv.gz"):
+            write_edge_list(g, path)
+            back = read_edge_list(path)
+            assert_same_graph(back, g)
+            for t in (0.0, 0.3):
+                assert matcher(back, t).id_pairs(back) == matcher(g, t).id_pairs(g)
