@@ -6,7 +6,8 @@ Edge lists, matchings and ground truth are TSV record files, read by
 comment ``# key: value`` is a header field (key and value trimmed), and
 header fields precede the records.  Blank lines are skipped.  Any other line
 is a record: tab-separated fields, taken verbatim, so ids may hold spaces
-but no tab or line break, and a record may not begin with ``#``.
+but no tab or line break, and a record may not begin with ``#``; the
+writers check their ids with :func:`check_ids` before they open the file.
 
 * edge list: ``left_id<TAB>right_id<TAB>weight`` in canonical edge order,
   after the header fields ``left_ids`` and ``right_ids``: the node tables in
@@ -25,18 +26,31 @@ from __future__ import annotations
 
 import gzip
 import os
+import re
+from contextlib import contextmanager
 from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import DataFormatError
 
+_UNWRITABLE = re.compile("[\t\n\r]")
 
-def open_text(path: str | os.PathLike, mode: str = "r") -> IO[str]:
-    """Open ``path`` as UTF-8 text, gunzipping when the name ends in .gz."""
+
+@contextmanager
+def open_text(path: str | os.PathLike, mode: str = "r") -> Iterator[IO[str]]:
+    """Open ``path`` as UTF-8 text, gunzipping when the name ends in .gz.
+
+    Text that is not valid UTF-8 raises :class:`DataFormatError` naming the
+    path.
+    """
     if mode not in ("r", "w"):
         raise ValueError(f"unsupported mode {mode!r}")
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+    opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        with opener(path, mode + "t", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"not valid UTF-8: {exc.reason}",
+                              path=path) from None
 
 
 def read_records(path, width: int, header: dict[str, str] | None = None
@@ -65,6 +79,18 @@ def write_header(fh: IO[str], fields: Mapping[str, str],
     """Write free-text comment lines, then ``# key: value`` header fields."""
     for line in [*comments, *(f"{key}: {value}" for key, value in fields.items())]:
         fh.write(f"# {line}\n")
+
+
+def check_ids(ids: Iterable[str], path, *, leading: bool = False) -> None:
+    """Raise :class:`DataFormatError` for an id that a record cannot hold:
+    one with a tab or a line break, or, for the ``leading`` field of a
+    record, one that begins with ``#`` and would read back as a comment."""
+    for value in ids:
+        if _UNWRITABLE.search(value) or (leading and value.startswith("#")):
+            raise DataFormatError(
+                f"id {value!r} cannot be written: a record field holds no tab "
+                "or line break, and a record does not begin with '#'",
+                path=path)
 
 
 def write_records(fh: IO[str], records: Iterable[tuple]) -> None:

@@ -27,7 +27,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataFormatError, EmptyGraphError
-from .fileio import open_text, read_records, write_header, write_records
+from .fileio import (
+    check_ids,
+    open_text,
+    read_records,
+    write_header,
+    write_records,
+)
 
 __all__ = [
     "Side",
@@ -432,6 +438,8 @@ def connected_components(graph: SimilarityGraph) -> list[set[NodeRef]]:
 # edge-list files (the format is described in `fileio`)
 
 def write_edge_list(graph: SimilarityGraph, path, *, comments: Sequence[str] = ()) -> None:
+    check_ids(graph.left_ids, path, leading=True)
+    check_ids(graph.right_ids, path)
     with open_text(path, "w") as fh:
         write_header(fh, {"left_ids": json.dumps(graph.left_ids),
                           "right_ids": json.dumps(graph.right_ids)}, comments)

@@ -32,7 +32,13 @@ from typing import Callable
 
 import numpy as np
 
-from .fileio import open_text, read_records, write_header, write_records
+from .fileio import (
+    check_ids,
+    open_text,
+    read_records,
+    write_header,
+    write_records,
+)
 from .errors import DataFormatError
 from .graph import Matching, Side, SimilarityGraph
 
@@ -551,6 +557,8 @@ def write_matching(matching: Matching, graph: SimilarityGraph, path, *,
                    algorithm: str, threshold: float, config: str = "",
                    wall_time: float | None = None) -> None:
     pairs = list(matching)
+    check_ids((graph.left_ids[l] for l, _ in pairs), path, leading=True)
+    check_ids((graph.right_ids[r] for _, r in pairs), path)
     fields = {"algorithm": algorithm, "threshold": repr(threshold),
               "config": config}
     if wall_time is not None:

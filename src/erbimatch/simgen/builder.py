@@ -19,6 +19,21 @@ zero, min-max normalizes the similarities, and only then hands the arrays to
 Raw strings are preprocessed with NFC + casefold + whitespace collapse;
 bag/graph models apply the gram extractor's own normalization.  Profiles
 without usable content for the configured scope contribute no edges.
+
+Scoring is one loop over row blocks.  ``kernels.KERNELS`` maps each
+``(model, measure)`` to a row kernel, which indexes the right side once and
+scores a block of left representations against all of it:
+
+    DP strings    raw_string levenshtein, damerau_levenshtein,
+                  needleman_wunsch, lc_subsequence, lc_substring
+    shared keys   every graph measure; bag jaccard, generalized_jaccard, arcs
+    whole matrix  bag cosine, vector cosine and euclidean
+    per pair      raw_string jaro, qgrams and the word measures
+
+With ``workers > 1`` the pool shards the left rows of every kernel except
+the whole-matrix ones into one contiguous block per worker; each worker
+builds the representations of its own block.  The whole-matrix kernels
+score in-process in one call.
 """
 
 from __future__ import annotations
@@ -37,26 +52,21 @@ from ..graph import SimilarityGraph, _min_max
 from ..profiles import EntityProfile, ProfileCollection
 from .bags import (
     BAG_MEASURES,
-    BagModel,
     CorpusStats,
     WeightScheme,
-    bag_similarity,
     build_bag_model,
     corpus_stats,
 )
-from .ngram_graphs import GRAPH_MEASURES, build_ngram_graph, graph_similarity
-from .strings import EDIT_MEASURES, edit_similarity
+from .kernels import KERNELS
+from .ngram_graphs import GRAPH_MEASURES, build_ngram_graph
+from .strings import EDIT_MEASURES
 from .text import GramUnit, tokenize
-from .tokens import TOKEN_MEASURES, token_set_similarity
+from .tokens import TOKEN_MEASURES
 from .vectors import VECTOR_MEASURES
 
 __all__ = ["SimFnConfig", "build_similarity_graph", "model_coverage"]
 
 logger = logging.getLogger(__name__)
-
-# measures whose raw form is asymmetric; the builder keeps the larger value
-# of both directions (containment and overlap are symmetric already)
-_SYMMETRIZED = {"monge_elkan"}
 
 _MODELS = ("raw_string", "bag", "graph", "vector")
 
@@ -148,130 +158,27 @@ def _representations(collection: ProfileCollection, cfg: SimFnConfig,
     return reps
 
 
-def _make_scorer(cfg: SimFnConfig, stats_left, stats_right):
-    if cfg.model == "raw_string" and cfg.measure in EDIT_MEASURES:
-        base = lambda a, b: edit_similarity(cfg.measure, a, b)
-    elif cfg.model == "raw_string":
-        base = lambda a, b: token_set_similarity(cfg.measure, a, b)
-    elif cfg.model == "bag":
-        base = lambda a, b: bag_similarity(cfg.measure, a, b,
-                                           stats_left, stats_right)
-    else:  # graph; the vector model is scored by _vector_edges
-        base = lambda a, b: graph_similarity(cfg.measure, a, b)
-    if cfg.measure in _SYMMETRIZED:
-        return lambda a, b: max(base(a, b), base(b, a))
-    return base
-
-
-# -- worker-pool plumbing ------------------------------------------------
+# -- the scoring loop ------------------------------------------------------
 
 _WORKER_STATE: tuple | None = None
 
 
-def _init_worker(left_reps, right_reps, cfg, stats_left, stats_right):
+def _init_worker(*state):
     global _WORKER_STATE
-    _WORKER_STATE = (left_reps, right_reps, _make_scorer(cfg, stats_left,
-                                                         stats_right))
+    _WORKER_STATE = state
 
 
 def _score_rows(bounds: tuple[int, int]):
-    left_reps, right_reps, scorer = _WORKER_STATE
-    return _score_rows_direct(left_reps, right_reps, scorer, bounds)
+    return _score_block(*_WORKER_STATE, bounds)
 
 
-def _score_rows_direct(left_reps, right_reps, scorer, bounds):
+def _score_block(score, index, left, cfg, stats_left, emb_left, bounds):
+    """Represent the left profiles in ``bounds`` and score them."""
     lo, hi = bounds
-    lefts: list[int] = []
-    rights: list[int] = []
-    sims: list[float] = []
-    for i in range(lo, hi):
-        a = left_reps[i]
-        if a is None:
-            continue
-        for j, b in enumerate(right_reps):
-            if b is None:
-                continue
-            sim = scorer(a, b)
-            if sim > 0.0:
-                lefts.append(i)
-                rights.append(j)
-                sims.append(sim)
-    return (np.asarray(lefts, dtype=np.int64),
-            np.asarray(rights, dtype=np.int64),
-            np.asarray(sims, dtype=np.float64))
+    block = _representations(left.profiles[lo:hi], cfg, stats_left, emb_left)
+    rows, cols, sims = score(block, index)
+    return rows + lo, cols, sims
 
-
-# -- vectorized fast paths -----------------------------------------------
-
-def _bag_cosine_edges(left_reps: list[BagModel | None],
-                      right_reps: list[BagModel | None]):
-    from scipy import sparse
-
-    vocab: dict[str, int] = {}
-    for reps in (left_reps, right_reps):
-        for model in reps:
-            if model is not None:
-                for gram in model.weights:
-                    vocab.setdefault(gram, len(vocab))
-
-    def matrix(reps, rows):
-        data, indices, indptr = [], [], [0]
-        for model in reps:
-            if model is not None:
-                for gram, w in model.weights.items():
-                    indices.append(vocab[gram])
-                    data.append(w)
-            indptr.append(len(data))
-        mat = sparse.csr_matrix(
-            (np.asarray(data, dtype=np.float64),
-             np.asarray(indices, dtype=np.int64),
-             np.asarray(indptr, dtype=np.int64)),
-            shape=(rows, max(len(vocab), 1)),
-        )
-        norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
-        scale = np.divide(1.0, norms, out=np.zeros_like(norms),
-                          where=norms > 0)
-        return sparse.diags(scale) @ mat
-
-    left = matrix(left_reps, len(left_reps))
-    right_t = matrix(right_reps, len(right_reps)).T.tocsc()
-
-    chunk = max(1, 2_000_000 // max(len(right_reps), 1))
-    lefts, rights, sims = [], [], []
-    for lo in range(0, len(left_reps), chunk):
-        block = (left[lo:lo + chunk] @ right_t).tocoo()
-        keep = block.data > 0.0
-        lefts.append(block.row[keep].astype(np.int64) + lo)
-        rights.append(block.col[keep].astype(np.int64))
-        sims.append(block.data[keep])
-    return np.concatenate(lefts), np.concatenate(rights), np.concatenate(sims)
-
-
-def _vector_edges(left_reps, right_reps, measure):
-    present_l = [i for i, v in enumerate(left_reps) if v is not None]
-    present_r = [j for j, v in enumerate(right_reps) if v is not None]
-    if not present_l or not present_r:
-        return [], [], []
-    lmat = np.asarray([left_reps[i] for i in present_l], dtype=np.float64)
-    rmat = np.asarray([right_reps[j] for j in present_r], dtype=np.float64)
-    if measure == "cosine":
-        lnorm = np.linalg.norm(lmat, axis=1, keepdims=True)
-        rnorm = np.linalg.norm(rmat, axis=1, keepdims=True)
-        lmat = np.divide(lmat, lnorm, out=np.zeros_like(lmat), where=lnorm > 0)
-        rmat = np.divide(rmat, rnorm, out=np.zeros_like(rmat), where=rnorm > 0)
-        sims = lmat @ rmat.T
-    else:
-        from scipy.spatial.distance import cdist
-
-        sims = 1.0 / (1.0 + cdist(lmat, rmat, metric="euclidean"))
-    li, rj = np.nonzero(sims > 0.0)
-    values = sims[li, rj]
-    lefts = np.asarray(present_l, dtype=np.int64)[li]
-    rights = np.asarray(present_r, dtype=np.int64)[rj]
-    return lefts, rights, values
-
-
-# -------------------------------------------------------------------------
 
 def _as_collection(profiles) -> ProfileCollection:
     if isinstance(profiles, ProfileCollection):
@@ -348,37 +255,37 @@ def build_similarity_graph(
                     f"attribute {cfg.scope!r} is absent from every {name} "
                     "profile")
 
-    stats_left = stats_right = None
-    if cfg.model == "bag":
-        stats_left = corpus_stats(left, cfg.unit, cfg.n, attribute=cfg.scope)
-        stats_right = corpus_stats(right, cfg.unit, cfg.n, attribute=cfg.scope)
-
-    left_reps = _representations(left, cfg, stats_left, emb_left)
-    right_reps = _representations(right, cfg, stats_right, emb_right)
-
-    if cfg.model == "bag" and cfg.measure == "cosine":
-        lefts, rights, sims = _bag_cosine_edges(left_reps, right_reps)
-    elif cfg.model == "vector":
-        lefts, rights, sims = _vector_edges(left_reps, right_reps, cfg.measure)
-    elif workers > 1 and len(left) > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(left_reps, right_reps, cfg, stats_left, stats_right),
-        ) as pool:
-            blocks = list(pool.map(_score_rows,
-                                   _split_rows(len(left), workers)))
-        lefts, rights, sims = (np.concatenate(parts) for parts in zip(*blocks))
-    else:
-        scorer = _make_scorer(cfg, stats_left, stats_right)
-        lefts, rights, sims = _score_rows_direct(left_reps, right_reps, scorer,
-                                                 (0, len(left)))
-
+    # the representations and the kernel's index are freed before the
+    # arrays are normalized and sorted
+    lefts, rights, sims = _score_pairs(left, right, cfg, emb_left, emb_right,
+                                       workers)
     if len(sims):
         sims = _min_max(sims)
     return SimilarityGraph.from_arrays(len(left), len(right), lefts, rights,
                                        sims, left_ids=left.ids,
                                        right_ids=right.ids)
+
+
+def _score_pairs(left, right, cfg, emb_left, emb_right, workers):
+    """``(lefts, rights, sims)`` of every pair with similarity above zero,
+    from the configuration's row kernel.  The pool shards the left rows, and
+    each worker builds the left representations of its own rows."""
+    stats_left = stats_right = None
+    if cfg.model == "bag":
+        stats_left = corpus_stats(left, cfg.unit, cfg.n, attribute=cfg.scope)
+        stats_right = corpus_stats(right, cfg.unit, cfg.n, attribute=cfg.scope)
+
+    right_reps = _representations(right, cfg, stats_right, emb_right)
+    kernel = KERNELS[cfg.model, cfg.measure]
+    state = (kernel.score, kernel.prepare(right_reps, stats_left, stats_right),
+             left, cfg, stats_left, emb_left)
+    if kernel.shard and workers > 1 and len(left) > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=state) as pool:
+            blocks = list(pool.map(_score_rows,
+                                   _split_rows(len(left), workers)))
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    return _score_block(*state, (0, len(left)))
 
 
 def _split_rows(total: int, workers: int) -> list[tuple[int, int]]:

@@ -97,13 +97,13 @@ class TestBuilder:
             assert got[pair] == pytest.approx(expected[pair], abs=1e-12)
 
     def test_fast_path_equals_generic_loop(self):
-        # the sparse cosine path must agree with the per-pair scorer
-        from erbimatch.simgen.builder import (
-            _make_scorer,
-            _representations,
-            _score_rows_direct,
+        # the sparse cosine kernel must agree with the per-pair bag_similarity
+        # on the edge set and on every normalized weight
+        from erbimatch.simgen.bags import (
+            bag_similarity,
+            build_bag_model,
+            corpus_stats,
         )
-        from erbimatch.simgen.bags import corpus_stats
 
         cfg = SimFnConfig(model="bag", measure="cosine",
                           unit=GramUnit.CHARACTER, n=2,
@@ -112,12 +112,19 @@ class TestBuilder:
 
         stats_l = corpus_stats(LEFT, cfg.unit, cfg.n)
         stats_r = corpus_stats(RIGHT, cfg.unit, cfg.n)
-        reps_l = _representations(LEFT, cfg, stats_l, None)
-        reps_r = _representations(RIGHT, cfg, stats_r, None)
-        scorer = _make_scorer(cfg, stats_l, stats_r)
-        raw = {(i, j): s for i, j, s in
-               zip(*_score_rows_direct(reps_l, reps_r, scorer, (0, len(LEFT))))}
-        assert {(l, r) for l, r, _ in g.edge_list()} == set(raw)
+        raw = {}
+        for i, lp in enumerate(LEFT):
+            a = build_bag_model(lp, cfg.unit, cfg.n, cfg.scheme, stats_l)
+            for j, rp in enumerate(RIGHT):
+                b = build_bag_model(rp, cfg.unit, cfg.n, cfg.scheme, stats_r)
+                s = bag_similarity("cosine", a, b, stats_l, stats_r)
+                if s > 0:
+                    raw[(i, j)] = s
+        lo, hi = min(raw.values()), max(raw.values())
+        got = {(l, r): w for l, r, w in g.edge_list()}
+        assert got.keys() == raw.keys()
+        for pair, s in raw.items():
+            assert got[pair] == pytest.approx((s - lo) / (hi - lo), abs=1e-12)
 
     def test_workers_do_not_change_results(self):
         cfg = SimFnConfig(model="raw_string", measure="levenshtein", scope="name")

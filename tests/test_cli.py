@@ -205,6 +205,19 @@ class TestBuildGraphCommand:
         assert code == 0
         assert "a1\tb1\t1.0" in out.read_text()
 
+    def test_id_that_a_record_cannot_hold_exits_2(self, profile_files,
+                                                  tmp_path, capsys):
+        left, right = profile_files
+        left.write_text("id,name\n#a1,green apple\n", encoding="utf-8")
+        out = tmp_path / "g.tsv"
+        code = main(["build-graph", "--left", str(left), "--right", str(right),
+                     "--model", "bag", "--measure", "cosine",
+                     "--workers", "1", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'#a1' cannot be written" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_max_pairs_guard(self, profile_files, tmp_path, capsys):
         left, right = profile_files
         code = main(["build-graph", "--left", str(left), "--right", str(right),
@@ -341,6 +354,7 @@ BAD_INPUTS = {
     "unknown-id": ("match", '# left_ids: ["A1"]\n# right_ids: ["B1"]\n'
                    "A1\tB1\t0.5\nA1\tB2\t0.4\n", [], 2),
     "bad-node-table": ("sweep", "# left_ids: A1 A2\nA1\tB1\t0.5\n", [], 2),
+    "invalid-utf8": ("sweep", b"A1\tB1\t0.5\nA\xff1\tB1\t0.4\n", [], 2),
     "zero-repetitions": ("bench", "A1\tB1\t0.5\n", ["--repetitions", "0"], 1),
     "negative-repetitions": ("bench", "A1\tB1\t0.5\n",
                              ["--repetitions", "-2"], 1),
@@ -354,7 +368,10 @@ def test_bad_input_exit_code_without_traceback(demo_files, tmp_path, capsys,
                                                expected):
     _, gt = demo_files
     graph = tmp_path / "bad.tsv"
-    graph.write_text(graph_text, encoding="utf-8")
+    if isinstance(graph_text, bytes):
+        graph.write_bytes(graph_text)
+    else:
+        graph.write_text(graph_text, encoding="utf-8")
     args = [command, "--graph", str(graph), "--algorithm", "umc"]
     if command == "sweep":
         args += ["--gt", str(gt)]
