@@ -3,14 +3,16 @@
 Precision counts the portion of output pairs that are true duplicates;
 recall the portion of true duplicates recovered; F1 is their harmonic mean.
 A threshold sweep scores a matcher over the grid 0.05..1.00 (step 0.05 by
-default) and selects the LARGEST threshold attaining the best F1.  cnc, rca,
-exc and umc are swept from one matcher run, whose interval form gives the
-matching at every grid point; the other matchers run once per grid point.
-Both ways give the scores of a per-threshold run, bit for bit.  Run-time
-benchmarks time only the matcher call (graph already in memory), with one
-untimed warm-up before the timed repetitions, on a monotonic clock, strictly
-serialized.  Friedman/Nemenyi statistics compare algorithms across many
-input graphs by mean rank.
+default) and selects the LARGEST threshold attaining the best F1.  Every
+named matcher shares work across the grid: cnc, rca, exc and umc are swept
+from one matcher run, whose interval form gives the matching at every grid
+point; rsr, bah, bmc and krc are prepared once and then run per grid point
+on the prepared state.  Only a callable runs from scratch at each grid
+point.  Every path gives the scores of a per-threshold run, bit for bit.
+Run-time benchmarks time only the matcher call (graph already in memory),
+with one untimed warm-up before the timed repetitions, on a monotonic
+clock, strictly serialized.  Friedman/Nemenyi statistics compare algorithms
+across many input graphs by mean rank.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ import numpy as np
 from .critical_values import CHI2_CRITICAL, NEMENYI_Q
 from .fileio import open_text
 from .graph import Matching, SimilarityGraph
-from .matchers import _INTERVAL_FORMS, _check_threshold, get_matcher
+from .matchers import (
+    _INTERVAL_FORMS,
+    _PREPARED_RUNS,
+    _check_threshold,
+    _resolve,
+    get_matcher,
+)
 
 __all__ = [
     "GroundTruth",
@@ -176,27 +184,38 @@ def threshold_sweep(graph: SimilarityGraph, algorithm, gt: GroundTruth, *,
     callable of ``(graph, threshold)``.  The optimal threshold is the
     largest grid point attaining the maximum F1.
 
-    ``cnc``, ``rca``, ``exc`` and ``umc`` are swept from one run at the
-    smallest grid point: the matching at every larger threshold follows
-    from it in closed form.  Every other matcher, and any callable, runs
-    once per grid point.  Both ways score in graph-index space, and the
-    result equals scoring each ``matcher(graph, t)`` with :func:`evaluate`.
+    Named matchers share their threshold-independent work across the
+    grid, on one of two paths.  ``cnc``, ``rca``, ``exc`` and ``umc`` are
+    swept from their interval form, one run at the smallest grid point:
+    the matching at every larger threshold follows from it in closed form.
+    ``rsr``, ``bah``, ``bmc`` and ``krc`` are prepared once at the smallest
+    grid point (neighbor lists, bah's edge keys and its proposal sequence),
+    then run at each grid point on the prepared state; bah's time limit
+    still applies to each run from its own start.  Only a callable runs
+    from scratch at each grid point.  Every path scores in graph-index
+    space, and the result equals scoring each ``matcher(graph, t)`` with
+    :func:`evaluate`.
     """
     if not grid:
         raise ValueError("threshold grid must be non-empty")
-    # Resolving rejects an unknown name or option on both paths.
-    matcher = _resolve_matcher(algorithm, matcher_config)
+    # Resolving rejects an unknown name or option before any grid point.
+    key, option = ((None, None) if callable(algorithm)
+                   else _resolve(algorithm, matcher_config or {}))
     grid = tuple(grid)
     for t in grid:
         _check_threshold(t)
     truth = _true_index_pairs(gt, graph)
-    form = (None if callable(algorithm)
-            else _INTERVAL_FORMS.get(algorithm.lower()))
-    if form is None:
-        counts = [(len(m.pairs & truth), len(m))
-                  for m in (matcher(graph, t) for t in grid)]
+    if key in _INTERVAL_FORMS:
+        counts = _interval_counts(_INTERVAL_FORMS[key](graph, min(grid)),
+                                  truth, grid)
     else:
-        counts = _interval_counts(form(graph, min(grid)), truth, grid)
+        if key is None:
+            matchings = (algorithm(graph, t) for t in grid)
+        else:
+            prepare, run = _PREPARED_RUNS[key]
+            prepared = prepare(graph, min(grid), option)
+            matchings = (run(prepared, t) for t in grid)
+        counts = [(len(m.pairs & truth), len(m)) for m in matchings]
     scores = tuple(_score(tp, output, len(gt)) for tp, output in counts)
     best = max(score.f_measure for score in scores)
     optimal_index = max(i for i, score in enumerate(scores)

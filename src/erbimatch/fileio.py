@@ -6,8 +6,10 @@ Edge lists, matchings and ground truth are TSV record files, read by
 comment ``# key: value`` is a header field (key and value trimmed), and
 header fields precede the records.  Blank lines are skipped.  Any other line
 is a record: tab-separated fields, taken verbatim, so ids may hold spaces
-but no tab or line break, and a record may not begin with ``#``; the
-writers check their ids with :func:`check_ids` before they open the file.
+but no tab or line break, a record may not begin with ``#``, and a record
+may not be blank.  The writers check their ids with :func:`check_ids`, and
+ground truth its records with :func:`check_records`, before they open the
+file.
 
 * edge list: ``left_id<TAB>right_id<TAB>weight`` in canonical edge order,
   after the header fields ``left_ids`` and ``right_ids``: the node tables in
@@ -90,6 +92,19 @@ def check_ids(ids: Iterable[str], path, *, leading: bool = False) -> None:
             raise DataFormatError(
                 f"id {value!r} cannot be written: a record field holds no tab "
                 "or line break, and a record does not begin with '#'",
+                path=path)
+
+
+def check_records(records: Iterable[tuple[str, ...]], path) -> None:
+    """Raise :class:`DataFormatError` for a record whose fields are all
+    empty or whitespace: it would be a blank line, which reads back as no
+    record.  Edge-list and matching records end in a weight, so only
+    ground truth can hold one."""
+    for record in records:
+        if not "".join(record).strip():
+            raise DataFormatError(
+                f"record {record!r} cannot be written: its fields are all "
+                "empty or whitespace, and a blank line is skipped on read",
                 path=path)
 
 

@@ -22,7 +22,13 @@ import numpy as np
 
 from .errors import DataFormatError
 from .evaluation import GroundTruth, SweepResult, _true_index_pairs
-from .fileio import check_ids, open_text, read_records, write_records
+from .fileio import (
+    check_ids,
+    check_records,
+    open_text,
+    read_records,
+    write_records,
+)
 from .graph import SimilarityGraph
 from .profiles import EntityProfile, ProfileCollection
 
@@ -165,6 +171,7 @@ def read_ground_truth(path) -> GroundTruth:
 def write_ground_truth(gt: GroundTruth, path) -> None:
     check_ids((left for left, _ in gt), path, leading=True)
     check_ids((right for _, right in gt), path)
+    check_records(gt, path)
     with open_text(path, "w") as fh:
         write_records(fh, gt)
 

@@ -17,8 +17,11 @@ edges with weight >= t are retained.
          (3/2-approximation family for maximum stable marriage)
     umc  globally greedy by descending weight
 
-cnc, rca, exc and umc are filters over an interval form (see below), from
-which one run gives the matching at every larger threshold.
+A threshold sweep shares work across thresholds on two paths (see below).
+cnc, rca, exc and umc are filters over an interval form, from which one run
+gives the matching at every larger threshold.  rsr, bah, bmc and krc are
+prepared runs: the work that does not depend on t is done once, at the
+smallest threshold, and each threshold runs only the rest.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from __future__ import annotations
 import enum
 import random
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -119,66 +123,7 @@ def match_rsr(graph: SimilarityGraph, threshold: float) -> Matching:
     exactly one node per side survive as pairs.
     """
     _check_threshold(threshold)
-    g = graph.prune(threshold)
-    n1 = g.left_count
-    n = g.node_count
-
-    # Nodes are numbered left first: right node j is n1 + j.
-    adjacency = (_neighbor_lists(g, Side.LEFT, offset=n1)
-                 + _neighbor_lists(g, Side.RIGHT))
-    averages = [
-        sum(w for _, w in edges) / len(edges) if edges else 0.0
-        for edges in adjacency
-    ]
-
-    seeds = sorted((v for v in range(n) if adjacency[v]),
-                   key=lambda v: (-averages[v], v))
-
-    sim_with_center = [0.0] * n
-    center_of = list(range(n))
-    partitions: list[set[int]] = [set() for _ in range(n)]
-    centers: set[int] = set()
-
-    for seed in seeds:
-        to_reassign: set[int] = set()
-        for other, w in adjacency[seed]:
-            if other in centers:
-                continue
-            if w > sim_with_center[other] and w > sim_with_center[seed]:
-                partitions[center_of[other]].discard(other)
-                partitions[seed].add(other)
-                if center_of[other] != other:
-                    to_reassign.add(center_of[other])
-                sim_with_center[other] = w
-                center_of[other] = seed
-                break
-        if partitions[seed]:
-            if center_of[seed] != seed:
-                partitions[center_of[seed]].discard(seed)
-                to_reassign.add(center_of[seed])
-            centers.add(seed)
-            partitions[seed].add(seed)
-            center_of[seed] = seed
-            sim_with_center[seed] = 1.0
-        for orphan in sorted(to_reassign):
-            best_sim = 0.0
-            best_owner = None
-            for other, w in adjacency[orphan]:
-                if w > best_sim and len(partitions[other]) < 2:
-                    best_owner = other
-                    best_sim = w
-            if best_owner is not None:
-                partitions[orphan].clear()
-                partitions[best_owner].add(orphan)
-
-    pairs = []
-    for members in partitions:
-        if len(members) != 2:
-            continue
-        a, b = sorted(members)
-        if a < n1 <= b:
-            pairs.append((a, b - n1))
-    return Matching(pairs)
+    return _rsr_run(_rsr_prepare(graph, threshold), threshold)
 
 
 def rca_passes(graph: SimilarityGraph) -> tuple[list[tuple[int, int]], float,
@@ -226,50 +171,8 @@ def match_bah(
     assignment value after every accepted swap.
     """
     _check_threshold(threshold)
-    cfg = config or BahConfig()
-
-    swap_left = graph.left_count >= graph.right_count
-    n_big = graph.left_count if swap_left else graph.right_count
-    n_small = graph.right_count if swap_left else graph.left_count
-
-    contribution: dict[tuple[int, int], float] = {}
-    pruned = graph.prune(threshold)
-    for l, r, w in zip(pruned.lefts.tolist(), pruned.rights.tolist(),
-                       pruned.weights.tolist()):
-        key = (l, r) if swap_left else (r, l)
-        contribution[key] = w
-
-    partner: list[int | None] = [k if k < n_small else None for k in range(n_big)]
-    value = sum(contribution.get((k, k), 0.0) for k in range(n_small))
-
-    rng = random.Random(cfg.rng_seed)
-    start = time.perf_counter()
-    if n_big >= 2:
-        for move in range(cfg.max_moves):
-            if move % 1024 == 0 and time.perf_counter() - start > cfg.time_limit:
-                break
-            i = rng.randrange(n_big)
-            j = rng.randrange(n_big)
-            while j == i:
-                j = rng.randrange(n_big)
-            delta = 0.0
-            if partner[i] is not None:
-                delta += (contribution.get((j, partner[i]), 0.0)
-                          - contribution.get((i, partner[i]), 0.0))
-            if partner[j] is not None:
-                delta += (contribution.get((i, partner[j]), 0.0)
-                          - contribution.get((j, partner[j]), 0.0))
-            if delta >= 0:
-                partner[i], partner[j] = partner[j], partner[i]
-                value += delta
-                if value_trace is not None:
-                    value_trace.append(value)
-
-    pairs = []
-    for big, small in enumerate(partner):
-        if small is not None and (big, small) in contribution:
-            pairs.append((big, small) if swap_left else (small, big))
-    return Matching(pairs)
+    return _bah_run(_bah_prepare(graph, threshold, config), threshold,
+                    value_trace)
 
 
 def match_bmc(graph: SimilarityGraph, threshold: float,
@@ -281,11 +184,7 @@ def match_bmc(graph: SimilarityGraph, threshold: float,
     partition (left on ties).
     """
     _check_threshold(threshold)
-    if basis is Basis.AUTO:
-        basis = Basis.LEFT if graph.left_count <= graph.right_count else Basis.RIGHT
-    g = graph.prune(threshold)
-    picked, _ = _greedy_pass(g, Side.LEFT if basis is Basis.LEFT else Side.RIGHT)
-    return Matching(zip(g.lefts[picked].tolist(), g.rights[picked].tolist()))
+    return _bmc_run(_bmc_prepare(graph, threshold, basis), threshold)
 
 
 def match_exc(graph: SimilarityGraph, threshold: float) -> Matching:
@@ -309,25 +208,267 @@ def match_krc(graph: SimilarityGraph, threshold: float) -> Matching:
     full list and tries again; after the second exhaustion it stays single.
     """
     _check_threshold(threshold)
-    g = graph.prune(threshold)
+    return _krc_run(_krc_prepare(graph, threshold), threshold)
+
+
+def match_umc(graph: SimilarityGraph, threshold: float) -> Matching:
+    """Global greedy: scan edges by descending weight, take both-free pairs.
+
+    The edge order is the canonical one (ties by ascending (left, right)).
+    """
+    _check_threshold(threshold)
+    return _matching_at(_umc_intervals(graph, threshold), threshold)
+
+
+# ----------------------------------------------------------------------
+# neighbor walks, all over SimilarityGraph._adjacency in canonical order
+
+class _Walk(NamedTuple):
+    """Every node's neighbors, best first, as flat lists: node i's are at
+    positions ``starts[i]`` up to ``starts[i + 1]``, and ``order`` maps a
+    position back to its edge.  rsr, krc, bmc and rca read them."""
+
+    order: np.ndarray
+    others: list[int]
+    weights: list[float]
+    starts: list[int]
+
+    def stops(self, degrees: np.ndarray) -> list[int]:
+        """Where each node's list ends when the nodes have ``degrees``:
+        pruning keeps a prefix of every list."""
+        return (np.asarray(self.starts[:-1]) + degrees).tolist()
+
+
+def _walk_lists(graph: SimilarityGraph, side: Side, offset: int = 0) -> _Walk:
+    """The walk of the nodes of ``side``, their neighbors shifted by
+    ``offset``."""
+    order, starts = graph._adjacency(side)
+    ends = graph.rights if side is Side.LEFT else graph.lefts
+    return _Walk(order, (ends[order] + offset).tolist(),
+                 graph.weights[order].tolist(), starts.tolist())
+
+
+def _greedy_pass(graph: SimilarityGraph, side: Side, walk: _Walk | None = None,
+                 stops: list[int] | None = None) -> tuple[np.ndarray, float]:
+    """One rca pass, and the whole of bmc: the nodes of ``side``, in index
+    order, each take their best still-free neighbor.  Node i reads its list
+    in ``walk`` (the graph's by default) up to ``stops[i]`` (all of it by
+    default).  Returns the taken edges' positions and the sum of their
+    weights, added up in pass order.  The walk stops at the first free
+    neighbor, so it never builds a pair per edge."""
+    if walk is None:
+        walk = _walk_lists(graph, side)
+    others, weights, starts = walk.others, walk.weights, walk.starts
+    taken = bytearray(graph.right_count if side is Side.LEFT
+                      else graph.left_count)
+    picked = []
+    value = 0.0
+    for a, b in zip(starts, starts[1:] if stops is None else stops):
+        for k in range(a, b):
+            j = others[k]
+            if not taken[j]:
+                taken[j] = 1
+                picked.append(k)
+                value += weights[k]
+                break
+    return walk.order[np.array(picked, dtype=np.int64)], value
+
+
+# ----------------------------------------------------------------------
+# prepared runs
+#
+# For rsr, bah, bmc and krc the work that does not depend on t is done once
+# by ``prepare(graph, floor, config)``, and ``run(prepared, t)`` gives the
+# matching at any t >= floor.  Pruning at such a t keeps a prefix of the
+# canonical edge order and of every neighbor list, so a run reads the
+# prepared lists up to each node's degree at t.  Each matcher is its
+# prepared run at t; a threshold sweep prepares once, at the smallest grid
+# point.
+
+def _rsr_prepare(graph: SimilarityGraph, floor: float, config=None):
+    g = graph.prune(floor)
+    # Nodes are numbered left first: right node j is n1 + j, and the right
+    # nodes' lists follow the left nodes' lists.  rsr outputs node pairs, so
+    # its walk keeps no edge order.
+    left = _walk_lists(g, Side.LEFT, offset=g.left_count)
+    right = _walk_lists(g, Side.RIGHT)
+    return g, _Walk(None, left.others + right.others,
+                    left.weights + right.weights,
+                    left.starts[:-1] + [g.edge_count + s for s in right.starts])
+
+
+def _rsr_run(prepared, threshold: float) -> Matching:
+    floor_graph, walk = prepared
+    others, weights, starts = walk.others, walk.weights, walk.starts
+    g = floor_graph.prune(threshold)
     n1 = g.left_count
-    preference = _neighbor_lists(g, Side.LEFT)
-    position = [0] * n1
+    n = g.node_count
+    stops = walk.stops(np.concatenate([g.degrees(Side.LEFT),
+                                       g.degrees(Side.RIGHT)]))
+    averages = [sum(weights[a:b]) / (b - a) if b > a else 0.0
+                for a, b in zip(starts, stops)]
+
+    seeds = sorted((v for v in range(n) if stops[v] > starts[v]),
+                   key=lambda v: (-averages[v], v))
+
+    sim_with_center = [0.0] * n
+    center_of = list(range(n))
+    partitions: list[set[int]] = [set() for _ in range(n)]
+    centers: set[int] = set()
+
+    for seed in seeds:
+        to_reassign: set[int] = set()
+        for k in range(starts[seed], stops[seed]):
+            other = others[k]
+            if other in centers:
+                continue
+            w = weights[k]
+            if w > sim_with_center[other] and w > sim_with_center[seed]:
+                partitions[center_of[other]].discard(other)
+                partitions[seed].add(other)
+                if center_of[other] != other:
+                    to_reassign.add(center_of[other])
+                sim_with_center[other] = w
+                center_of[other] = seed
+                break
+        if partitions[seed]:
+            if center_of[seed] != seed:
+                partitions[center_of[seed]].discard(seed)
+                to_reassign.add(center_of[seed])
+            centers.add(seed)
+            partitions[seed].add(seed)
+            center_of[seed] = seed
+            sim_with_center[seed] = 1.0
+        for orphan in sorted(to_reassign):
+            best_sim = 0.0
+            best_owner = None
+            for k in range(starts[orphan], stops[orphan]):
+                other = others[k]
+                w = weights[k]
+                if w > best_sim and len(partitions[other]) < 2:
+                    best_owner = other
+                    best_sim = w
+            if best_owner is not None:
+                partitions[orphan].clear()
+                partitions[best_owner].add(orphan)
+
+    pairs = []
+    for members in partitions:
+        if len(members) != 2:
+            continue
+        a, b = sorted(members)
+        if a < n1 <= b:
+            pairs.append((a, b - n1))
+    return Matching(pairs)
+
+
+def _bah_prepare(graph: SimilarityGraph, floor: float,
+                 config: BahConfig | None = None):
+    cfg = config or BahConfig()
+    g = graph.prune(floor)
+    swap_left = g.left_count >= g.right_count
+    bigs, smalls = (g.lefts, g.rights) if swap_left else (g.rights, g.lefts)
+    keys = list(zip(bigs.tolist(), smalls.tolist()))
+    # The proposal sequence depends only on the seed and the node count, so
+    # every run shares it: the first run to reach a proposal draws it.  Each
+    # proposal is a pair of distinct nodes, held in two int64 arrays.
+    proposals = (array("q"), array("q"), random.Random(cfg.rng_seed).randrange)
+    return g, cfg, swap_left, keys, g.weights.tolist(), proposals
+
+
+def _bah_run(prepared, threshold: float,
+             value_trace: list[float] | None = None) -> Matching:
+    floor_graph, cfg, swap_left, keys, weights, proposals = prepared
+    g = floor_graph.prune(threshold)
+    n_big = g.left_count if swap_left else g.right_count
+    n_small = g.right_count if swap_left else g.left_count
+    # The surviving edges are the first ones, in canonical order.
+    contribution = dict(zip(keys, weights[:g.edge_count]))
+
+    partner: list[int | None] = [k if k < n_small else None for k in range(n_big)]
+    get = contribution.get
+    value = sum(get((k, k), 0.0) for k in range(n_small))
+
+    firsts, seconds, randrange = proposals
+    start = time.perf_counter()
+    if n_big >= 2:
+        for begin in range(0, cfg.max_moves, 1024):
+            if time.perf_counter() - start > cfg.time_limit:
+                break
+            end = min(begin + 1024, cfg.max_moves)
+            for _ in range(end - len(firsts)):
+                i = randrange(n_big)
+                j = randrange(n_big)
+                while j == i:
+                    j = randrange(n_big)
+                firsts.append(i)
+                seconds.append(j)
+            for i, j in zip(firsts[begin:end], seconds[begin:end]):
+                p_i = partner[i]
+                p_j = partner[j]
+                delta = 0.0
+                if p_i is not None:
+                    delta += get((j, p_i), 0.0) - get((i, p_i), 0.0)
+                if p_j is not None:
+                    delta += get((i, p_j), 0.0) - get((j, p_j), 0.0)
+                if delta >= 0:
+                    partner[i] = p_j
+                    partner[j] = p_i
+                    value += delta
+                    if value_trace is not None:
+                        value_trace.append(value)
+
+    pairs = []
+    for big, small in enumerate(partner):
+        if small is not None and (big, small) in contribution:
+            pairs.append((big, small) if swap_left else (small, big))
+    return Matching(pairs)
+
+
+def _bmc_prepare(graph: SimilarityGraph, floor: float,
+                 basis: Basis = Basis.AUTO):
+    if basis is Basis.AUTO:
+        basis = Basis.LEFT if graph.left_count <= graph.right_count else Basis.RIGHT
+    side = Side.LEFT if basis is Basis.LEFT else Side.RIGHT
+    g = graph.prune(floor)
+    return g, side, _walk_lists(g, side)
+
+
+def _bmc_run(prepared, threshold: float) -> Matching:
+    floor_graph, side, walk = prepared
+    g = floor_graph.prune(threshold)
+    picked, _ = _greedy_pass(g, side, walk, walk.stops(g.degrees(side)))
+    return Matching(zip(g.lefts[picked].tolist(), g.rights[picked].tolist()))
+
+
+def _krc_prepare(graph: SimilarityGraph, floor: float, config=None):
+    g = graph.prune(floor)
+    return g, _walk_lists(g, Side.LEFT)
+
+
+def _krc_run(prepared, threshold: float) -> Matching:
+    floor_graph, walk = prepared
+    others, weights, starts = walk.others, walk.weights, walk.starts
+    stops = walk.stops(floor_graph.prune(threshold).degrees(Side.LEFT))
+    n1 = floor_graph.left_count
+    position = starts[:-1]
     second_chance = [False] * n1
     fiance: dict[int, int] = {}
     engagement_weight: dict[int, float] = {}
-    free = deque(i for i in range(n1) if preference[i])
+    free = deque(i for i in range(n1) if stops[i] > starts[i])
 
     while free:
         man = free.popleft()
-        if position[man] >= len(preference[man]):
+        k = position[man]
+        if k >= stops[man]:
             if not second_chance[man]:
                 second_chance[man] = True
-                position[man] = 0
+                position[man] = starts[man]
                 free.append(man)
             continue
-        woman, weight = preference[man][position[man]]
-        position[man] += 1
+        woman = others[k]
+        weight = weights[k]
+        position[man] = k + 1
         incumbent = fiance.get(woman)
         if incumbent is None:
             fiance[woman] = man
@@ -349,55 +490,12 @@ def match_krc(graph: SimilarityGraph, threshold: float) -> Matching:
     return Matching((man, woman) for woman, man in fiance.items())
 
 
-def match_umc(graph: SimilarityGraph, threshold: float) -> Matching:
-    """Global greedy: scan edges by descending weight, take both-free pairs.
-
-    The edge order is the canonical one (ties by ascending (left, right)).
-    """
-    _check_threshold(threshold)
-    return _matching_at(_umc_intervals(graph, threshold), threshold)
-
-
-# ----------------------------------------------------------------------
-# neighbor walks, both over SimilarityGraph._adjacency in canonical order
-
-def _neighbor_lists(graph: SimilarityGraph, side: Side,
-                    offset: int = 0) -> list[list[tuple[int, float]]]:
-    """Per node of ``side``, its ``(neighbor + offset, weight)`` pairs,
-    best first: the adjacency that rsr and krc read."""
-    order, starts = graph._adjacency(side)
-    ends = graph.rights if side is Side.LEFT else graph.lefts
-    pairs = list(zip((ends[order] + offset).tolist(),
-                     graph.weights[order].tolist()))
-    bounds = starts.tolist()
-    return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _greedy_pass(graph: SimilarityGraph,
-                 side: Side) -> tuple[np.ndarray, float]:
-    """One rca pass, and the whole of bmc: the nodes of ``side``, in index
-    order, each take their best still-free neighbor.  Returns the taken
-    edges' positions and the sum of their weights, added up in pass order.
-    The walk reads flat lists and stops at the first free neighbor, so it
-    never builds a pair per edge."""
-    order, starts = graph._adjacency(side)
-    ends = graph.rights if side is Side.LEFT else graph.lefts
-    others = ends[order].tolist()
-    weights = graph.weights[order].tolist()
-    bounds = starts.tolist()
-    taken = bytearray(graph.right_count if side is Side.LEFT
-                      else graph.left_count)
-    picked = []
-    value = 0.0
-    for i in range(len(bounds) - 1):
-        for k in range(bounds[i], bounds[i + 1]):
-            j = others[k]
-            if not taken[j]:
-                taken[j] = 1
-                picked.append(k)
-                value += weights[k]
-                break
-    return order[np.array(picked, dtype=np.int64)], value
+_PREPARED_RUNS: dict[str, tuple[Callable, Callable]] = {
+    "rsr": (_rsr_prepare, _rsr_run),
+    "bah": (_bah_prepare, _bah_run),
+    "bmc": (_bmc_prepare, _bmc_run),
+    "krc": (_krc_prepare, _krc_run),
+}
 
 
 # ----------------------------------------------------------------------
@@ -523,26 +621,36 @@ def get_matcher(name: str, **config) -> Callable[[SimilarityGraph, float], Match
     ``config=BahConfig``); ``bmc`` accepts ``basis``.  The returned callable
     takes ``(graph, threshold)``.
     """
+    key, option = _resolve(name, config)
+    if key == "bah":
+        return lambda g, t: match_bah(g, t, option)
+    if key == "bmc":
+        return lambda g, t: match_bmc(g, t, option)
+    return ALGORITHMS[key]
+
+
+def _resolve(name: str, config: dict) -> tuple[str, BahConfig | Basis | None]:
+    """The registry key of ``name`` and its one option: a :class:`BahConfig`
+    for bah, a :class:`Basis` for bmc, None for the others.  An unknown
+    name or option raises ValueError."""
     key = name.lower()
     if key not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; expected one of "
                          + ", ".join(sorted(ALGORITHMS)))
+    config = dict(config)
+    option = None
     if key == "bah":
-        cfg = config.pop("config", None)
-        if cfg is None:
-            cfg = BahConfig(**{opt: config.pop(opt)
-                               for opt in ("max_moves", "time_limit", "rng_seed")
-                               if opt in config})
-        _reject_extra(config)
-        return lambda g, t: match_bah(g, t, cfg)
-    if key == "bmc":
-        basis = config.pop("basis", Basis.AUTO)
-        if isinstance(basis, str):
-            basis = Basis(basis.lower())
-        _reject_extra(config)
-        return lambda g, t: match_bmc(g, t, basis)
+        option = config.pop("config", None)
+        if option is None:
+            option = BahConfig(**{opt: config.pop(opt)
+                                  for opt in ("max_moves", "time_limit", "rng_seed")
+                                  if opt in config})
+    elif key == "bmc":
+        option = config.pop("basis", Basis.AUTO)
+        if isinstance(option, str):
+            option = Basis(option.lower())
     _reject_extra(config)
-    return ALGORITHMS[key]
+    return key, option
 
 
 def _reject_extra(config: dict) -> None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -18,11 +19,16 @@ from erbimatch.evaluation import (
     sweep_report,
     threshold_sweep,
 )
+import erbimatch.matchers as matchers
 from erbimatch.matchers import (
     _INTERVAL_FORMS,
+    _PREPARED_RUNS,
     ALGORITHMS,
+    BahConfig,
+    Basis,
     _matching_at,
     get_matcher,
+    match_bah,
 )
 from erbimatch.reference import REFERENCE_TRUE_PAIRS
 
@@ -120,7 +126,8 @@ class TestThresholdSweep:
 
 
 # Small bah budget, so the per-threshold loop oracle stays fast.
-SWEEP_CONFIG = {"bah": {"max_moves": 200}}
+SWEEP_CONFIG = {"bah": {"max_moves": 200, "rng_seed": 5},
+                "bmc": {"basis": "right"}}
 
 
 def _sweep_case(rng):
@@ -171,6 +178,78 @@ class TestSweepEngine:
             for t in grid:
                 floor = rng.choice([0.0, t, rng.uniform(0.0, t)])
                 assert _matching_at(form(g, floor), t) == matcher(g, t)
+
+    @pytest.mark.parametrize("name, option", [
+        ("rsr", None), ("krc", None), ("bmc", Basis.LEFT),
+        ("bmc", Basis.RIGHT), ("bmc", Basis.AUTO),
+        ("bah", BahConfig(max_moves=300, rng_seed=3)),
+    ])
+    def test_prepared_run_equals_matcher(self, name, option):
+        prepare, run = _PREPARED_RUNS[name]
+        options = () if option is None else (option,)
+        rng = random.Random(13)
+        for _ in range(60):
+            g, _, grid = _sweep_case(rng)
+            # one preparation shared by the whole grid, in any order
+            shared = prepare(g, min(grid), option)
+            for t in grid:
+                floor = rng.choice([0.0, t, rng.uniform(0.0, t)])
+                expected = ALGORITHMS[name](g, t, *options)
+                assert run(prepare(g, floor, option), t) == expected
+                assert run(shared, t) == expected
+
+    def test_prepared_bah_traces_equal_matcher(self):
+        prepare, run = _PREPARED_RUNS["bah"]
+        config = BahConfig(max_moves=300, rng_seed=9)
+        rng = random.Random(17)
+        for _ in range(40):
+            g, _, grid = _sweep_case(rng)
+            shared = prepare(g, min(grid), config)
+            for t in grid:
+                expected: list[float] = []
+                match_bah(g, t, config, value_trace=expected)
+                for prepared in (shared, prepare(g, rng.uniform(0.0, t),
+                                                 config)):
+                    trace: list[float] = []
+                    run(prepared, t, trace)
+                    assert trace == expected
+
+    def test_bah_time_limit_stops_every_run(self, g_ref, monkeypatch):
+        """On a clock that advances one second per read, a 2.5 s limit
+        stops every grid point's run at its third check, after 2048 moves,
+        however many moves are allowed; the shared draw holds those 2048
+        proposals and no more."""
+        gt = GroundTruth(REFERENCE_TRUE_PAIRS)
+        bounded = BahConfig(max_moves=2048)
+        expected = {t: [] for t in DEFAULT_GRID}
+        for t, trace in expected.items():
+            match_bah(g_ref, t, bounded, value_trace=trace)
+        reference = threshold_sweep(g_ref, "bah", gt,
+                                    matcher_config={"config": bounded})
+
+        prepare, run = _PREPARED_RUNS["bah"]
+        runs = []
+
+        def traced_run(prepared, t):
+            runs.append((prepared, t, []))
+            return run(prepared, t, runs[-1][2])
+
+        monkeypatch.setitem(_PREPARED_RUNS, "bah", (prepare, traced_run))
+        ticks = itertools.count()
+        monkeypatch.setattr(matchers.time, "perf_counter",
+                            lambda: float(next(ticks)))
+        sweep = threshold_sweep(g_ref, "bah", gt, matcher_config={
+            "max_moves": 10**6, "time_limit": 2.5})
+        monkeypatch.undo()
+
+        # per run: the start, then the checks at moves 0, 1024 and 2048
+        assert next(ticks) == 4 * len(DEFAULT_GRID)
+        assert [t for _, t, _ in runs] == list(DEFAULT_GRID)
+        assert all(trace == expected[t] for _, t, trace in runs)
+        assert sweep == reference
+        firsts, seconds, _ = runs[0][0][-1]
+        assert all(prepared[-1][0] is firsts for prepared, _, _ in runs)
+        assert len(firsts) == len(seconds) == 2048
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     @pytest.mark.parametrize("bad", [-0.05, 1.5, float("nan")])

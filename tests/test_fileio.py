@@ -92,6 +92,25 @@ def test_writers_keep_a_right_id_that_begins_with_hash(tmp_path):
         [("a #1", "#b")]
 
 
+@pytest.mark.parametrize("pair", [(" ", ""), ("", "  "), ("", ""),
+                                  ("\u00a0", " \u3000")])
+def test_ground_truth_writer_rejects_a_blank_record(tmp_path, pair):
+    path = tmp_path / "gt.tsv"
+    with pytest.raises(DataFormatError, match="all empty or whitespace"):
+        write_ground_truth(GroundTruth([("a", "b"), pair]), path)
+    assert not path.exists()
+
+
+def test_blank_ids_round_trip_where_a_weight_follows(tmp_path):
+    writers = _writers(" ", "")
+    for name in ("edge list", "matching"):
+        writers[name](tmp_path / f"{name}.tsv")
+    graph = read_edge_list(tmp_path / "edge list.tsv")
+    assert (graph.left_ids, graph.right_ids) == ((" ",), ("",))
+    assert [r[:2] for r in read_matching(tmp_path / "matching.tsv")[0]] == \
+        [(" ", "")]
+
+
 _NOT_UTF8 = b"id\tb\n\xff\xfe\t1\n"
 
 
