@@ -3,12 +3,12 @@
 Precision counts the portion of output pairs that are true duplicates;
 recall the portion of true duplicates recovered; F1 is their harmonic mean.
 A threshold sweep scores a matcher over the grid 0.05..1.00 (step 0.05 by
-default) and selects the LARGEST threshold attaining the best F1.  Every
-named matcher shares work across the grid: cnc, rca, exc and umc are swept
-from one matcher run, whose interval form gives the matching at every grid
-point; rsr, bah, bmc and krc are prepared once and then run per grid point
-on the prepared state.  Only a callable runs from scratch at each grid
-point.  Every path gives the scores of a per-threshold run, bit for bit.
+default) and selects the LARGEST threshold attaining the best F1.  It has
+one engine: the matcher is prepared once, at the smallest grid point, then
+run at each grid point, and the run's matched pairs, two index columns,
+are counted against the ground truth with no Matching built.  A callable
+is the same pair with nothing prepared.  The scores equal those of a
+per-threshold run, bit for bit.
 Run-time benchmarks time only the matcher call (graph already in memory),
 with one untimed warm-up before the timed repetitions, on a monotonic
 clock, strictly serialized.  Friedman/Nemenyi statistics compare algorithms
@@ -30,14 +30,8 @@ import numpy as np
 
 from .critical_values import CHI2_CRITICAL, NEMENYI_Q
 from .fileio import open_text
-from .graph import Matching, SimilarityGraph
-from .matchers import (
-    _INTERVAL_FORMS,
-    _PREPARED_RUNS,
-    _check_threshold,
-    _resolve,
-    get_matcher,
-)
+from .graph import Matching, SimilarityGraph, _index_columns
+from .matchers import _RUNS, _check_threshold, _resolve, get_matcher
 
 __all__ = [
     "GroundTruth",
@@ -126,9 +120,13 @@ def evaluate(matching: Matching, gt: GroundTruth,
     """Score a matching against the ground truth via external identifiers.
 
     Empty outputs score precision 0 by convention; an empty ground truth
-    scores recall 0.
+    scores recall 0.  A pair naming a node outside the id tables raises
+    ValueError.
     """
-    output = {(left_ids[l], right_ids[r]) for l, r in matching.pairs}
+    lefts, rights = _index_columns(matching.pairs, len(left_ids),
+                                   len(right_ids))
+    output = {(left_ids[l], right_ids[r])
+              for l, r in zip(lefts.tolist(), rights.tolist())}
     return _score(len(output & gt.pairs), len(output), len(gt))
 
 
@@ -140,39 +138,24 @@ class SweepResult:
     optimal_score: PrfScore
 
 
-def _resolve_matcher(algorithm, matcher_config=None) -> Callable:
-    if callable(algorithm):
-        return algorithm
-    return get_matcher(algorithm, **(matcher_config or {}))
-
-
-def _true_index_pairs(gt: GroundTruth,
-                      graph: SimilarityGraph) -> set[tuple[int, int]]:
-    """The true pairs as ``(left, right)`` indices of ``graph``; pairs with
-    an id absent from the graph can never be output and are left out."""
+def _true_rights(gt: GroundTruth, graph: SimilarityGraph) -> np.ndarray:
+    """Each left node's true partner as a right index of ``graph``, or -1
+    (also for a true pair with an id absent from the graph)."""
     left = {id_: i for i, id_ in enumerate(graph.left_ids)}
     right = {id_: j for j, id_ in enumerate(graph.right_ids)}
-    return {(left[l], right[r]) for l, r in gt.pairs
-            if l in left and r in right}
+    true_right = np.full(graph.left_count, -1, dtype=np.int64)
+    for l, r in gt.pairs:
+        if l in left and r in right:
+            true_right[left[l]] = right[r]
+    return true_right
 
 
-def _count_between(lo: np.ndarray, hi: np.ndarray,
-                   ts: np.ndarray) -> np.ndarray:
-    """``#{k : lo[k] < t <= hi[k]}`` for every t, given lo <= hi."""
-    return np.searchsorted(np.sort(lo), ts) - np.searchsorted(np.sort(hi), ts)
-
-
-def _interval_counts(form, truth: set[tuple[int, int]],
-                     grid: tuple[float, ...]) -> list[tuple[int, int]]:
-    """``(true positives, output pairs)`` per grid point from an interval
-    form, with no matcher run and no matching built."""
-    lefts, rights, lo, hi = form
-    true = np.fromiter(
-        map(truth.__contains__, zip(lefts.tolist(), rights.tolist())),
-        dtype=bool, count=len(lefts))
-    ts = np.asarray(grid, dtype=np.float64)
-    return list(zip(_count_between(lo[true], hi[true], ts).tolist(),
-                    _count_between(lo, hi, ts).tolist()))
+def _callable_runs(matcher: Callable) -> tuple[Callable, Callable]:
+    """A callable as a prepare/run pair that prepares nothing."""
+    def run(graph, threshold):
+        return _index_columns(matcher(graph, threshold).pairs,
+                              graph.left_count, graph.right_count)
+    return (lambda graph, floor, option: graph), run
 
 
 def threshold_sweep(graph: SimilarityGraph, algorithm, gt: GroundTruth, *,
@@ -184,43 +167,36 @@ def threshold_sweep(graph: SimilarityGraph, algorithm, gt: GroundTruth, *,
     callable of ``(graph, threshold)``.  The optimal threshold is the
     largest grid point attaining the maximum F1.
 
-    Named matchers share their threshold-independent work across the
-    grid, on one of two paths.  ``cnc``, ``rca``, ``exc`` and ``umc`` are
-    swept from their interval form, one run at the smallest grid point:
-    the matching at every larger threshold follows from it in closed form.
-    ``rsr``, ``bah``, ``bmc`` and ``krc`` are prepared once at the smallest
-    grid point (neighbor lists, bah's edge keys and its proposal sequence),
-    then run at each grid point on the prepared state; bah's time limit
-    still applies to each run from its own start.  Only a callable runs
-    from scratch at each grid point.  Every path scores in graph-index
-    space, and the result equals scoring each ``matcher(graph, t)`` with
-    :func:`evaluate`.
+    The matcher is prepared once, at the smallest grid point, so the whole
+    grid shares its threshold-independent work, then run at each grid
+    point (bah's time limit applies to each run).  A run's matched pairs,
+    two index columns, are counted against a left -> true right array.  A
+    callable runs from scratch at each grid point; a pair it outputs that
+    names a node outside the graph raises ValueError.  The result equals
+    scoring each ``matcher(graph, t)`` with :func:`evaluate`.
     """
     if not grid:
         raise ValueError("threshold grid must be non-empty")
     # Resolving rejects an unknown name or option before any grid point.
-    key, option = ((None, None) if callable(algorithm)
-                   else _resolve(algorithm, matcher_config or {}))
+    if callable(algorithm):
+        (prepare, run), option = _callable_runs(algorithm), None
+    else:
+        key, option = _resolve(algorithm, matcher_config or {})
+        prepare, run = _RUNS[key]
     grid = tuple(grid)
     for t in grid:
         _check_threshold(t)
-    truth = _true_index_pairs(gt, graph)
-    if key in _INTERVAL_FORMS:
-        counts = _interval_counts(_INTERVAL_FORMS[key](graph, min(grid)),
-                                  truth, grid)
-    else:
-        if key is None:
-            matchings = (algorithm(graph, t) for t in grid)
-        else:
-            prepare, run = _PREPARED_RUNS[key]
-            prepared = prepare(graph, min(grid), option)
-            matchings = (run(prepared, t) for t in grid)
-        counts = [(len(m.pairs & truth), len(m)) for m in matchings]
-    scores = tuple(_score(tp, output, len(gt)) for tp, output in counts)
+    true_right = _true_rights(gt, graph)
+    prepared = prepare(graph, min(grid), option)
+    scores = []
+    for t in grid:
+        lefts, rights = run(prepared, t)
+        true_positives = int(np.count_nonzero(true_right[lefts] == rights))
+        scores.append(_score(true_positives, len(lefts), len(gt)))
     best = max(score.f_measure for score in scores)
     optimal_index = max(i for i, score in enumerate(scores)
                         if score.f_measure == best)
-    return SweepResult(grid=grid, scores=scores,
+    return SweepResult(grid=grid, scores=tuple(scores),
                        optimal_t=grid[optimal_index],
                        optimal_score=scores[optimal_index])
 
@@ -246,7 +222,8 @@ def benchmark(graph: SimilarityGraph, algorithm, threshold: float, *,
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    matcher = _resolve_matcher(algorithm, matcher_config)
+    matcher = (algorithm if callable(algorithm)
+               else get_matcher(algorithm, **(matcher_config or {})))
     matcher(graph, threshold)  # warm-up, excluded from statistics
     times = []
     for _ in range(repetitions):

@@ -106,6 +106,18 @@ def _canonical_edges(left_count, right_count, lefts, rights, weights):
     return lefts, rights, weights
 
 
+def _index_columns(pairs, left_count, right_count):
+    """``(left, right)`` index pairs as two int64 columns.  A pair that
+    names a node outside ``left_count`` x ``right_count`` raises ValueError,
+    as numpy would wrap a negative index round to a real node."""
+    lefts, rights = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+    if lefts.size and (min(lefts.min(), rights.min()) < 0
+                       or lefts.max() >= left_count
+                       or rights.max() >= right_count):
+        raise ValueError("pair names a node outside the graph")
+    return lefts, rights
+
+
 def _min_max(weights: np.ndarray) -> np.ndarray:
     """``(w - min) / (max - min)``, or all ones when every weight is equal."""
     w_min = float(weights.min())
@@ -158,7 +170,8 @@ class SimilarityGraph:
         columns = list(zip(*(() if edges is None else edges))) or [(), (), ()]
         self._init(left_count, right_count,
                    *_canonical_edges(left_count, right_count, *columns),
-                   left_ids, right_ids)
+                   self._make_ids(left_ids, left_count, "L"),
+                   self._make_ids(right_ids, right_count, "R"))
 
     @classmethod
     def from_arrays(
@@ -176,19 +189,20 @@ class SimilarityGraph:
         g = cls.__new__(cls)
         g._init(left_count, right_count,
                 *_canonical_edges(left_count, right_count, lefts, rights, weights),
-                left_ids, right_ids)
+                cls._make_ids(left_ids, left_count, "L"),
+                cls._make_ids(right_ids, right_count, "R"))
         return g
 
     def _init(self, left_count, right_count, lefts, rights, weights,
               left_ids, right_ids):
-        # The edge arrays are already validated and in canonical order.
+        # Edges (in canonical order) and ids arrive checked by a constructor.
         self.left_count = int(left_count)
         self.right_count = int(right_count)
         self.lefts = lefts
         self.rights = rights
         self.weights = weights
-        self.left_ids = self._make_ids(left_ids, left_count, "L")
-        self.right_ids = self._make_ids(right_ids, right_count, "R")
+        self.left_ids = left_ids
+        self.right_ids = right_ids
         self._groups = {}  # side -> (order, starts), see _adjacency
 
     @staticmethod
@@ -236,11 +250,8 @@ class SimilarityGraph:
         """The weights of one-to-one ``(left, right)`` index pairs, in order
         (0.0 where there is no edge), found with a left -> right partner
         array in one pass over the edges."""
-        lefts, rights = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
-        if lefts.size and (min(lefts.min(), rights.min()) < 0
-                           or lefts.max() >= self.left_count
-                           or rights.max() >= self.right_count):
-            raise ValueError("pair names a node outside the graph")
+        lefts, rights = _index_columns(pairs, self.left_count,
+                                       self.right_count)
         partner = np.full(self.left_count, -1, dtype=np.int64)
         partner[lefts] = rights
         hit = partner[self.lefts] == self.rights
@@ -288,7 +299,9 @@ class SimilarityGraph:
         """
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        cut = int(np.searchsorted(-self.weights, -threshold, side="right"))
+        # The weights descend: count those < threshold in the reversed view.
+        cut = self.edge_count - int(np.searchsorted(self.weights[::-1],
+                                                    threshold, side="left"))
         g = SimilarityGraph.__new__(SimilarityGraph)
         g._init(self.left_count, self.right_count,
                 self.lefts[:cut], self.rights[:cut], self.weights[:cut],

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DataFormatError
-from .evaluation import GroundTruth, SweepResult, _true_index_pairs
+from .evaluation import GroundTruth, SweepResult, _true_rights
 from .fileio import (
     check_ids,
     check_records,
@@ -256,9 +256,9 @@ def quality_filter(graph: SimilarityGraph, gt: GroundTruth,
     """
     best = max((s.optimal_score.f_measure for s in sweeps.values()),
                default=0.0)
-    weights = graph._weights_of(_true_index_pairs(gt, graph))
+    true = _true_rights(gt, graph)[graph.lefts] == graph.rights
     return GraphQualityFlags(
-        all_matches_zero_weight=not any(w > 0 for w in weights),
+        all_matches_zero_weight=not np.any(graph.weights[true] > 0),
         noisy=best < noise_f1,
     )
 

@@ -17,11 +17,11 @@ edges with weight >= t are retained.
          (3/2-approximation family for maximum stable marriage)
     umc  globally greedy by descending weight
 
-A threshold sweep shares work across thresholds on two paths (see below).
-cnc, rca, exc and umc are filters over an interval form, from which one run
-gives the matching at every larger threshold.  rsr, bah, bmc and krc are
-prepared runs: the work that does not depend on t is done once, at the
-smallest threshold, and each threshold runs only the rest.
+All eight run on one engine (see below): ``prepare(graph, floor, option)``
+does the work that does not depend on the threshold, and ``run(prepared,
+t)`` gives the matched pairs at any t >= floor as two index columns.  A
+matcher is its run at t, prepared at t; a threshold sweep prepares once, at
+the smallest grid point, and counts each run's columns.
 """
 
 from __future__ import annotations
@@ -107,8 +107,7 @@ def match_cnc(graph: SimilarityGraph, threshold: float) -> Matching:
     A 2-node cross component is exactly an edge whose endpoints both have
     degree 1 in the pruned graph, so no explicit closure pass is needed.
     """
-    _check_threshold(threshold)
-    return _matching_at(_cnc_intervals(graph, threshold), threshold)
+    return _match("cnc", graph, threshold)
 
 
 def match_rsr(graph: SimilarityGraph, threshold: float) -> Matching:
@@ -122,8 +121,7 @@ def match_rsr(graph: SimilarityGraph, threshold: float) -> Matching:
     partition that still has fewer than two members.  Only partitions with
     exactly one node per side survive as pairs.
     """
-    _check_threshold(threshold)
-    return _rsr_run(_rsr_prepare(graph, threshold), threshold)
+    return _match("rsr", graph, threshold)
 
 
 def rca_passes(graph: SimilarityGraph) -> tuple[list[tuple[int, int]], float,
@@ -149,8 +147,7 @@ def match_rca(graph: SimilarityGraph, threshold: float) -> Matching:
     pairing as admissible); sub-threshold pairs are dropped from the winning
     pass at the end.  A value tie returns the column pass.
     """
-    _check_threshold(threshold)
-    return _matching_at(_rca_intervals(graph, threshold), threshold)
+    return _match("rca", graph, threshold)
 
 
 def match_bah(
@@ -170,9 +167,7 @@ def match_bah(
     weight >= threshold.  ``value_trace``, when given, records the running
     assignment value after every accepted swap.
     """
-    _check_threshold(threshold)
-    return _bah_run(_bah_prepare(graph, threshold, config), threshold,
-                    value_trace)
+    return _match("bah", graph, threshold, config, value_trace=value_trace)
 
 
 def match_bmc(graph: SimilarityGraph, threshold: float,
@@ -183,8 +178,7 @@ def match_bmc(graph: SimilarityGraph, threshold: float,
     Basis nodes are visited in index order; AUTO resolves to the smaller
     partition (left on ties).
     """
-    _check_threshold(threshold)
-    return _bmc_run(_bmc_prepare(graph, threshold, basis), threshold)
+    return _match("bmc", graph, threshold, basis)
 
 
 def match_exc(graph: SimilarityGraph, threshold: float) -> Matching:
@@ -193,8 +187,7 @@ def match_exc(graph: SimilarityGraph, threshold: float) -> Matching:
     Ties are resolved by the deterministic adjacency order (descending
     weight, then ascending index), so "best" is the first neighbor.
     """
-    _check_threshold(threshold)
-    return _matching_at(_exc_intervals(graph, threshold), threshold)
+    return _match("exc", graph, threshold)
 
 
 def match_krc(graph: SimilarityGraph, threshold: float) -> Matching:
@@ -207,8 +200,7 @@ def match_krc(graph: SimilarityGraph, threshold: float) -> Matching:
     proposer is not.  A left node that exhausts its list once recovers the
     full list and tries again; after the second exhaustion it stays single.
     """
-    _check_threshold(threshold)
-    return _krc_run(_krc_prepare(graph, threshold), threshold)
+    return _match("krc", graph, threshold)
 
 
 def match_umc(graph: SimilarityGraph, threshold: float) -> Matching:
@@ -216,8 +208,7 @@ def match_umc(graph: SimilarityGraph, threshold: float) -> Matching:
 
     The edge order is the canonical one (ties by ascending (left, right)).
     """
-    _check_threshold(threshold)
-    return _matching_at(_umc_intervals(graph, threshold), threshold)
+    return _match("umc", graph, threshold)
 
 
 # ----------------------------------------------------------------------
@@ -275,17 +266,38 @@ def _greedy_pass(graph: SimilarityGraph, side: Side, walk: _Walk | None = None,
 
 
 # ----------------------------------------------------------------------
-# prepared runs
+# the sweep engine
 #
-# For rsr, bah, bmc and krc the work that does not depend on t is done once
-# by ``prepare(graph, floor, config)``, and ``run(prepared, t)`` gives the
-# matching at any t >= floor.  Pruning at such a t keeps a prefix of the
-# canonical edge order and of every neighbor list, so a run reads the
-# prepared lists up to each node's degree at t.  Each matcher is its
-# prepared run at t; a threshold sweep prepares once, at the smallest grid
-# point.
+# Every matcher is a pair in ``_RUNS``: ``prepare(graph, floor, option)``
+# does the work that does not depend on t, once, and ``run(prepared, t)``
+# returns the pairs matched at any t >= floor as two int64 index columns
+# ``(lefts, rights)``.  Pruning at such a t keeps a prefix of the canonical
+# edge order and of every neighbor list, so a run reads the prepared state
+# up to where t cuts it.  ``match_x(g, t)`` turns one run, prepared at t,
+# into a Matching; a threshold sweep prepares once, at its smallest grid
+# point, and counts each grid point's columns against the ground truth.
 
-def _rsr_prepare(graph: SimilarityGraph, floor: float, config=None):
+_Columns = tuple[np.ndarray, np.ndarray]
+
+
+def _match(key: str, graph: SimilarityGraph, threshold: float, option=None,
+           **run_options) -> Matching:
+    _check_threshold(threshold)
+    prepare, run = _RUNS[key]
+    lefts, rights = run(prepare(graph, threshold, option), threshold,
+                        **run_options)
+    return Matching(zip(lefts.tolist(), rights.tolist()))
+
+
+def _columns(lefts: list[int], rights: list[int]) -> _Columns:
+    return np.array(lefts, dtype=np.int64), np.array(rights, dtype=np.int64)
+
+
+# rsr, bah, bmc and krc: the prepared state is the floor graph's neighbor
+# lists (bah: its edge keys and proposal sequence), and each run repeats
+# the matcher's own pass over the part that survives t.
+
+def _rsr_prepare(graph: SimilarityGraph, floor: float, option=None):
     g = graph.prune(floor)
     # Nodes are numbered left first: right node j is n1 + j, and the right
     # nodes' lists follow the left nodes' lists.  rsr outputs node pairs, so
@@ -297,7 +309,7 @@ def _rsr_prepare(graph: SimilarityGraph, floor: float, config=None):
                     left.starts[:-1] + [g.edge_count + s for s in right.starts])
 
 
-def _rsr_run(prepared, threshold: float) -> Matching:
+def _rsr_run(prepared, threshold: float) -> _Columns:
     floor_graph, walk = prepared
     others, weights, starts = walk.others, walk.weights, walk.starts
     g = floor_graph.prune(threshold)
@@ -352,14 +364,15 @@ def _rsr_run(prepared, threshold: float) -> Matching:
                 partitions[orphan].clear()
                 partitions[best_owner].add(orphan)
 
-    pairs = []
+    lefts, rights = [], []
     for members in partitions:
         if len(members) != 2:
             continue
         a, b = sorted(members)
         if a < n1 <= b:
-            pairs.append((a, b - n1))
-    return Matching(pairs)
+            lefts.append(a)
+            rights.append(b - n1)
+    return _columns(lefts, rights)
 
 
 def _bah_prepare(graph: SimilarityGraph, floor: float,
@@ -377,7 +390,7 @@ def _bah_prepare(graph: SimilarityGraph, floor: float,
 
 
 def _bah_run(prepared, threshold: float,
-             value_trace: list[float] | None = None) -> Matching:
+             value_trace: list[float] | None = None) -> _Columns:
     floor_graph, cfg, swap_left, keys, weights, proposals = prepared
     g = floor_graph.prune(threshold)
     n_big = g.left_count if swap_left else g.right_count
@@ -418,11 +431,12 @@ def _bah_run(prepared, threshold: float,
                     if value_trace is not None:
                         value_trace.append(value)
 
-    pairs = []
+    bigs, smalls = [], []
     for big, small in enumerate(partner):
         if small is not None and (big, small) in contribution:
-            pairs.append((big, small) if swap_left else (small, big))
-    return Matching(pairs)
+            bigs.append(big)
+            smalls.append(small)
+    return _columns(bigs, smalls) if swap_left else _columns(smalls, bigs)
 
 
 def _bmc_prepare(graph: SimilarityGraph, floor: float,
@@ -434,19 +448,19 @@ def _bmc_prepare(graph: SimilarityGraph, floor: float,
     return g, side, _walk_lists(g, side)
 
 
-def _bmc_run(prepared, threshold: float) -> Matching:
+def _bmc_run(prepared, threshold: float) -> _Columns:
     floor_graph, side, walk = prepared
     g = floor_graph.prune(threshold)
     picked, _ = _greedy_pass(g, side, walk, walk.stops(g.degrees(side)))
-    return Matching(zip(g.lefts[picked].tolist(), g.rights[picked].tolist()))
+    return g.lefts[picked], g.rights[picked]
 
 
-def _krc_prepare(graph: SimilarityGraph, floor: float, config=None):
+def _krc_prepare(graph: SimilarityGraph, floor: float, option=None):
     g = graph.prune(floor)
     return g, _walk_lists(g, Side.LEFT)
 
 
-def _krc_run(prepared, threshold: float) -> Matching:
+def _krc_run(prepared, threshold: float) -> _Columns:
     floor_graph, walk = prepared
     others, weights, starts = walk.others, walk.weights, walk.starts
     stops = walk.stops(floor_graph.prune(threshold).degrees(Side.LEFT))
@@ -487,34 +501,21 @@ def _krc_run(prepared, threshold: float) -> Matching:
         else:
             free.append(man)
 
-    return Matching((man, woman) for woman, man in fiance.items())
+    return _columns(list(fiance.values()), list(fiance.keys()))
 
 
-_PREPARED_RUNS: dict[str, tuple[Callable, Callable]] = {
-    "rsr": (_rsr_prepare, _rsr_run),
-    "bah": (_bah_prepare, _bah_run),
-    "bmc": (_bmc_prepare, _bmc_run),
-    "krc": (_krc_prepare, _krc_run),
-}
-
-
-# ----------------------------------------------------------------------
-# interval forms
-#
-# For cnc, rca, exc and umc the matching at every threshold t >= floor
-# follows from one run at ``floor``.  The interval form of such a run is
-# ``(lefts, rights, lo, hi)``: the index pairs the matcher can output and,
+# cnc, rca, exc and umc: the prepared state is an interval form
+# ``(lefts, rights, lo, hi)``, the index pairs the matcher can output and,
 # per pair, bounds such that the pair is matched at t exactly when
-# lo < t <= hi.  Each of the four matchers is its own form at t, filtered;
-# a threshold sweep builds the form once, at the smallest grid point.
+# lo < t <= hi.  Their one run is that mask.
 
 _Intervals = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _matching_at(form: _Intervals, threshold: float) -> Matching:
+def _interval_run(form: _Intervals, threshold: float) -> _Columns:
     lefts, rights, lo, hi = form
     keep = (lo < threshold) & (threshold <= hi)
-    return Matching(zip(lefts[keep].tolist(), rights[keep].tolist()))
+    return lefts[keep], rights[keep]
 
 
 def _edge_intervals(graph: SimilarityGraph, positions,
@@ -551,7 +552,7 @@ def _mutual_best(graph: SimilarityGraph) -> tuple[np.ndarray, np.ndarray]:
                             weights[seconds[1][graph.rights[best]]])
 
 
-def _cnc_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
+def _cnc_prepare(graph: SimilarityGraph, floor: float, option=None):
     """An edge is a whole component at t when it survives and every other
     edge at both ends does not: max(second best at each end) < t <= w.
     Only mutual-best edges can pass, as any other edge has an end whose
@@ -560,14 +561,14 @@ def _cnc_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
     return _edge_intervals(g, *_mutual_best(g))
 
 
-def _exc_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
+def _exc_prepare(graph: SimilarityGraph, floor: float, option=None):
     """Pruning cuts a prefix off each neighbor list, so a mutual-best edge
     stays mutual best while it survives, and no new one appears."""
     g = graph.prune(floor)
     return _edge_intervals(g, _mutual_best(g)[0])
 
 
-def _rca_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
+def _rca_prepare(graph: SimilarityGraph, floor: float, option=None):
     """The passes ignore the threshold, so ``floor`` is unused: the winning
     pass is filtered to weight >= t at every t."""
     rows, value_rows = _greedy_pass(graph, Side.LEFT)
@@ -575,7 +576,7 @@ def _rca_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
     return _edge_intervals(graph, rows if value_rows > value_cols else cols)
 
 
-def _umc_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
+def _umc_prepare(graph: SimilarityGraph, floor: float, option=None):
     """Pruning at t >= floor keeps a prefix of the greedy scan, and the
     scan's choices within a prefix do not depend on what follows."""
     g = graph.prune(floor)
@@ -591,16 +592,22 @@ def _umc_intervals(graph: SimilarityGraph, floor: float) -> _Intervals:
     return _edge_intervals(g, np.array(picked, dtype=np.int64))
 
 
-_INTERVAL_FORMS: dict[str, Callable[[SimilarityGraph, float], _Intervals]] = {
-    "cnc": _cnc_intervals,
-    "rca": _rca_intervals,
-    "exc": _exc_intervals,
-    "umc": _umc_intervals,
+# The engine's registry: every matcher's (prepare, run) pair.
+_RUNS: dict[str, tuple[Callable, Callable]] = {
+    "cnc": (_cnc_prepare, _interval_run),
+    "rsr": (_rsr_prepare, _rsr_run),
+    "rca": (_rca_prepare, _interval_run),
+    "bah": (_bah_prepare, _bah_run),
+    "bmc": (_bmc_prepare, _bmc_run),
+    "exc": (_exc_prepare, _interval_run),
+    "krc": (_krc_prepare, _krc_run),
+    "umc": (_umc_prepare, _interval_run),
 }
 
 
 # ----------------------------------------------------------------------
-# registry
+# registry: the public matchers, by name; each is one run of its pair in
+# ``_RUNS``, and a threshold sweep runs the pair itself
 
 ALGORITHMS: dict[str, Callable] = {
     "cnc": match_cnc,

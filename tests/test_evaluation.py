@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from erbimatch import Matching
+from erbimatch import Matching, SimilarityGraph
 from erbimatch.evaluation import (
     DEFAULT_GRID,
     GroundTruth,
@@ -21,12 +21,10 @@ from erbimatch.evaluation import (
 )
 import erbimatch.matchers as matchers
 from erbimatch.matchers import (
-    _INTERVAL_FORMS,
-    _PREPARED_RUNS,
+    _RUNS,
     ALGORITHMS,
     BahConfig,
     Basis,
-    _matching_at,
     get_matcher,
     match_bah,
 )
@@ -72,6 +70,16 @@ class TestEvaluate:
         gt = GroundTruth([("a", "b")])
         score = evaluate(Matching(), gt, *self.IDS)
         assert (score.precision, score.recall, score.f_measure) == (0.0, 0.0, 0.0)
+
+    def test_pair_outside_the_graph_rejected(self):
+        # numpy would wrap left -1 round to L1, a true pair, and score F1 1
+        g = SimilarityGraph(2, 2, [(1, 0, 0.5)])
+        gt = GroundTruth([("L1", "R0")])
+        outside = Matching([(-1, 0)])
+        with pytest.raises(ValueError, match="outside the graph"):
+            evaluate(outside, gt, g.left_ids, g.right_ids)
+        with pytest.raises(ValueError, match="outside the graph"):
+            threshold_sweep(g, lambda graph, t: outside, gt)
 
     def test_f1_matches_recomputation(self):
         gt = GroundTruth([("a", "b"), ("c", "d")])
@@ -168,26 +176,23 @@ class TestSweepEngine:
             assert fast == loop
             assert fast.scores == _evaluate_each(g, m, gt, grid)
 
-    @pytest.mark.parametrize("name", sorted(_INTERVAL_FORMS))
-    def test_interval_filter_equals_matcher(self, name):
-        form = _INTERVAL_FORMS[name]
-        matcher = ALGORITHMS[name]
-        rng = random.Random(11)
-        for _ in range(60):
-            g, _, grid = _sweep_case(rng)
-            for t in grid:
-                floor = rng.choice([0.0, t, rng.uniform(0.0, t)])
-                assert _matching_at(form(g, floor), t) == matcher(g, t)
-
     @pytest.mark.parametrize("name, option", [
-        ("rsr", None), ("krc", None), ("bmc", Basis.LEFT),
+        ("cnc", None), ("rsr", None), ("rca", None), ("exc", None),
+        ("krc", None), ("umc", None), ("bmc", Basis.LEFT),
         ("bmc", Basis.RIGHT), ("bmc", Basis.AUTO),
         ("bah", BahConfig(max_moves=300, rng_seed=3)),
-    ])
-    def test_prepared_run_equals_matcher(self, name, option):
-        prepare, run = _PREPARED_RUNS[name]
+    ], ids=["cnc", "rsr", "rca", "exc", "krc", "umc", "bmc-left",
+            "bmc-right", "bmc-auto", "bah"])
+    def test_registry_run_equals_matcher(self, name, option):
+        prepare, run = _RUNS[name]
         options = () if option is None else (option,)
-        rng = random.Random(13)
+
+        def as_matching(columns):
+            lefts, rights = columns
+            assert lefts.dtype == rights.dtype == np.int64
+            return Matching(zip(lefts.tolist(), rights.tolist()))
+
+        rng = random.Random(11)
         for _ in range(60):
             g, _, grid = _sweep_case(rng)
             # one preparation shared by the whole grid, in any order
@@ -195,11 +200,11 @@ class TestSweepEngine:
             for t in grid:
                 floor = rng.choice([0.0, t, rng.uniform(0.0, t)])
                 expected = ALGORITHMS[name](g, t, *options)
-                assert run(prepare(g, floor, option), t) == expected
-                assert run(shared, t) == expected
+                assert as_matching(run(prepare(g, floor, option), t)) == expected
+                assert as_matching(run(shared, t)) == expected
 
     def test_prepared_bah_traces_equal_matcher(self):
-        prepare, run = _PREPARED_RUNS["bah"]
+        prepare, run = _RUNS["bah"]
         config = BahConfig(max_moves=300, rng_seed=9)
         rng = random.Random(17)
         for _ in range(40):
@@ -227,14 +232,14 @@ class TestSweepEngine:
         reference = threshold_sweep(g_ref, "bah", gt,
                                     matcher_config={"config": bounded})
 
-        prepare, run = _PREPARED_RUNS["bah"]
+        prepare, run = _RUNS["bah"]
         runs = []
 
         def traced_run(prepared, t):
             runs.append((prepared, t, []))
             return run(prepared, t, runs[-1][2])
 
-        monkeypatch.setitem(_PREPARED_RUNS, "bah", (prepare, traced_run))
+        monkeypatch.setitem(_RUNS, "bah", (prepare, traced_run))
         ticks = itertools.count()
         monkeypatch.setattr(matchers.time, "perf_counter",
                             lambda: float(next(ticks)))

@@ -141,6 +141,21 @@ class TestPrune:
         e2 = set(prune_edges(g, t2).edge_list())
         assert e2 <= e1
 
+    @given(case=edge_sets(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_keeps_exactly_the_edges_at_or_above(self, case, data):
+        # tied weight levels, and thresholds that equal the graph's own
+        # weights as well as ones between them
+        n1, n2, edges = case
+        g = SimilarityGraph(n1, n2, edges,
+                            left_ids=[f"a{i}" for i in range(n1)])
+        t = data.draw(st.sampled_from(
+            [0.0, 0.05, 0.3, 0.5, 1.0] + [w for _, _, w in edges]))
+        pruned = g.prune(t)
+        assert pruned.edge_list() == [e for e in g.edge_list() if e[2] >= t]
+        assert (pruned.left_count, pruned.right_count) == (n1, n2)
+        assert (pruned.left_ids, pruned.right_ids) == (g.left_ids, g.right_ids)
+
 
 class TestNormalize:
     def test_affine_endpoints(self):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from erbimatch import DataFormatError
+from erbimatch import DataFormatError, SimilarityGraph
 from erbimatch.evaluation import GroundTruth, threshold_sweep
 from erbimatch.ingest import (
     DatasetBundle,
@@ -214,6 +214,14 @@ class TestQualityFilter:
         assert quality_filter(g, absent, {}).all_matches_zero_weight
         mixed = GroundTruth([("ghost", "B2"), ("A1", "B1")])
         assert not quality_filter(g, mixed, {}).all_matches_zero_weight
+
+    def test_a_zero_weight_edge_carries_no_weight(self):
+        # min-max normalization gives the lightest edge weight 0
+        g = SimilarityGraph(2, 2, [(0, 0, 0.0), (1, 1, 0.5)])
+        zero = GroundTruth([("L0", "R0")])
+        assert quality_filter(g, zero, {}).all_matches_zero_weight
+        both = GroundTruth([("L0", "R0"), ("L1", "R1")])
+        assert not quality_filter(g, both, {}).all_matches_zero_weight
 
     def test_duplicate_detection(self):
         g = reference_graph()
